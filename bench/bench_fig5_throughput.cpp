@@ -6,16 +6,20 @@
 // 150 us FUSE hop); absolute Tpm depends on the simulated engine, but the
 // ordering and relative drops are the paper's.
 //
-// Two additions beyond the paper's figure:
+// Three additions beyond the paper's figure:
 //   * a client-thread sweep (1/4/16 TPC-C terminals) with per-commit
 //     latency percentiles, showing how the sharded Submit path scales;
 //   * an ingestion microbench that strips away SQL and interception and
 //     hammers CommitPipeline::Submit directly against an instant store
 //     (raw MemoryStore, real clock), comparing sharded ingestion with the
-//     single-lock baseline (submit_shards = 1).
+//     single-lock baseline (submit_shards = 1);
+//   * a buffered commit sweep over B on the WAN S3 model: commit latency
+//     percentiles against PUTs and WAL dollars per month.
 //
 // Pass --smoke for the reduced CI matrix. Every row also emits a
 // machine-readable `BENCH_fig5* {...}` JSON line.
+#include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <mutex>
 #include <utility>
@@ -190,146 +194,134 @@ void RunIngestSweep() {
   }
 }
 
-// Streaming commit sweep (PUT-RTT headline): paced WAL writes into
+// Buffered commit sweep (latency vs $): paced WAL writes into
 // CommitPipeline::Submit against the WAN S3 latency model on a scaled
-// clock, comparing the buffered path, the streaming path, and streaming
-// with early acks at B in {1, 10, 100}.
+// clock, at B in {1, 8, 16, 100}. Every batch is one buffered PUT, so B
+// sets both sides of the trade: a smaller B starts each PUT sooner but
+// pays one request per B writes.
 //
-// The pacing keeps batch formation at ~200 ms of model time regardless of
-// B, and the uploader pool ahead of the arrival rate, so the percentiles
-// measure the commit path itself rather than queueing under overload.
-//
-// The reference `model_put_rtt_us` is the deterministic WAN PUT latency of
-// one ack unit — a segment's payload (base + size term, no jitter). A
-// buffered write cannot ack before a full-object PUT on top of batch fill;
-// a streamed early-acked write only waits for its segment's tail PUT, so
-// p50/RTT should approach 1 as B grows.
-void RunStreamSweep() {
+// The uploader pool is sized to keep up at every B — 1.5x the PUTs the
+// arrival rate keeps in flight over one modeled round-trip — so the
+// percentiles measure the commit path, not queueing under overload.
+// Dollars are the WAL PUT bill for a month at the sweep's write rate,
+// priced with the May 2017 S3 list prices.
+void RunCommitSweep() {
   PrintHeader(
-      "Streaming commit sweep — WAN S3 model, paced writes, "
-      "commit latency vs PUT RTT");
-  std::printf("%-6s %-18s %-14s %-14s %-14s %-10s\n", "B", "mode",
-              "commit p50", "commit p95", "put RTT", "p50/RTT");
+      "Buffered commit sweep — WAN S3 model, paced writes, "
+      "commit latency vs PUTs and $");
+  std::printf("%-6s %-10s %-12s %-12s %-12s %-12s %-12s %-12s\n", "B",
+              "uploaders", "p50 ms", "p95 ms", "p99 ms", "PUTs/kwr",
+              "objs/kwr", "WAL $/month");
 
-  struct ModeCfg {
-    const char* name;
-    bool streaming;
-    bool early_ack;
-  };
-  const ModeCfg modes[] = {{"buffered", false, false},
-                           {"stream", true, false},
-                           {"stream+early_ack", true, true}};
   const LatencyParams wan = LatencyParams::WanS3();
   constexpr std::size_t kWriteBytes = 4096;
+  constexpr std::uint64_t kInterarrivalUs = 2'000;  // 500 writes/s
   const int writes = g_smoke ? 300 : 1000;
+  const PriceBook prices = PriceBook::AmazonS3May2017();
 
-  for (std::size_t batch : {std::size_t{1}, std::size_t{10}, std::size_t{100}}) {
-    // ~200 ms of model time per batch at every B.
-    const std::uint64_t interarrival_us = 200'000 / batch;
-    for (const ModeCfg& mode : modes) {
-      auto raw = std::make_shared<MemoryStore>();
-      auto clock = std::make_shared<ScaledClock>(kTimeScale);
-      auto model = std::make_shared<LatencyModel>(wan, clock);
-      auto store = std::make_shared<MeteredStore>(raw, clock, model);
-      auto view = std::make_shared<CloudView>();
-      auto envelope = std::make_shared<Envelope>(EnvelopeOptions{});
-      GinjaConfig config;
-      config.batch = batch;
-      config.safety = 1'000'000;           // never safety-blocked
-      config.batch_timeout_us = 1'000'000;
-      config.safety_timeout_us = 60'000'000;
-      config.uploader_threads = 4;
-      // Tail PUTs pay the full WAN request base (~410 ms) regardless of
-      // size, so at B=100 the segment rate needs ~13 PUTs in flight; give
-      // the stream transfer pool the headroom S3 itself would (the paper's
-      // cost concern is request *count*, not concurrency).
-      config.transfer_concurrency = 32;
-      config.streaming_commit = mode.streaming;
-      config.early_ack = mode.early_ack;
-      auto pipeline =
-          std::make_unique<CommitPipeline>(store, view, clock, config, envelope);
-      // Exact per-write ack times via the consecutive-ack frontier (the
-      // pipeline's own histogram has ~1.4x geometric buckets — too coarse
-      // to resolve p50 against the RTT). A write with max_lsn L is
-      // committed at the first frontier advance covering L.
-      std::mutex events_mu;
-      std::vector<std::pair<std::uint64_t, Lsn>> events;  // (model us, lsn)
-      pipeline->SetFrontierListener([&] {
-        std::lock_guard<std::mutex> lock(events_mu);
-        events.emplace_back(clock->NowMicros(),
-                            pipeline->UploadedWalFrontier());
-      });
-      pipeline->Start();
+  for (std::size_t batch : {std::size_t{1}, std::size_t{8}, std::size_t{16},
+                            std::size_t{100}}) {
+    const double puts_per_s =
+        1e6 / static_cast<double>(kInterarrivalUs * batch);
+    const double put_rtt_us =
+        wan.put_base_us + static_cast<double>(batch * kWriteBytes) / 1024.0 *
+                              wan.put_us_per_kb;
+    const int uploaders = std::max(
+        4, static_cast<int>(std::ceil(1.5 * puts_per_s * put_rtt_us / 1e6)));
 
-      std::vector<std::uint64_t> submit_us(
-          static_cast<std::size_t>(writes), 0);
-      for (int i = 0; i < writes; ++i) {
-        WalWrite w;
-        w.file = "pg_xlog/000000010000000000000001";
-        w.offset = static_cast<std::uint64_t>(i) * kWriteBytes;
-        w.data = Bytes(kWriteBytes, 0x5A);
-        w.max_lsn = static_cast<std::uint64_t>(i + 1) * kWriteBytes;
-        submit_us[static_cast<std::size_t>(i)] = clock->NowMicros();
-        pipeline->Submit(std::move(w));
-        clock->SleepMicros(interarrival_us);
-      }
-      pipeline->Drain();
-      const std::uint64_t drained_us = clock->NowMicros();
-      pipeline->Stop();
+    auto raw = std::make_shared<MemoryStore>();
+    auto clock = std::make_shared<ScaledClock>(kTimeScale);
+    auto model = std::make_shared<LatencyModel>(wan, clock);
+    auto store = std::make_shared<MeteredStore>(raw, clock, model);
+    auto view = std::make_shared<CloudView>();
+    auto envelope = std::make_shared<Envelope>(EnvelopeOptions{});
+    GinjaConfig config;
+    config.batch = batch;
+    config.safety = 1'000'000;  // never safety-blocked
+    config.batch_timeout_us = 1'000'000;
+    config.safety_timeout_us = 60'000'000;
+    config.uploader_threads = uploaders;
+    auto pipeline =
+        std::make_unique<CommitPipeline>(store, view, clock, config, envelope);
+    // Exact per-write ack times via the consecutive-ack frontier (the
+    // pipeline's own histogram buckets are too coarse to resolve p50). A
+    // write with max_lsn L is committed at the first frontier advance
+    // covering L.
+    std::mutex events_mu;
+    std::vector<std::pair<std::uint64_t, Lsn>> events;  // (model us, lsn)
+    pipeline->SetFrontierListener([&] {
+      std::lock_guard<std::mutex> lock(events_mu);
+      events.emplace_back(clock->NowMicros(), pipeline->UploadedWalFrontier());
+    });
+    pipeline->Start();
 
-      std::vector<double> latencies(static_cast<std::size_t>(writes));
-      {
-        std::lock_guard<std::mutex> lock(events_mu);
-        std::size_t w = 0;
-        for (const auto& [at_us, lsn] : events) {
-          while (w < latencies.size() &&
-                 static_cast<Lsn>(w + 1) * kWriteBytes <= lsn) {
-            latencies[w] = static_cast<double>(at_us - submit_us[w]);
-            ++w;
-          }
-        }
-        for (; w < latencies.size(); ++w) {
-          latencies[w] = static_cast<double>(drained_us - submit_us[w]);
-        }
-      }
-      std::sort(latencies.begin(), latencies.end());
-      auto quantile = [&](double q) {
-        const std::size_t idx = std::min(
-            latencies.size() - 1,
-            static_cast<std::size_t>(q * static_cast<double>(latencies.size())));
-        return latencies[idx];
-      };
-      HistogramSnapshot commit;
-      commit.p50 = quantile(0.50);
-      commit.p95 = quantile(0.95);
-      commit.p99 = quantile(0.99);
-
-      const std::size_t seg_writes =
-          std::min(config.stream_segment_writes, batch);
-      const double seg_kb =
-          static_cast<double>(seg_writes * kWriteBytes) / 1024.0;
-      const double put_rtt_us = wan.put_base_us + seg_kb * wan.put_us_per_kb;
-      const double p50_over_rtt = put_rtt_us > 0 ? commit.p50 / put_rtt_us : 0;
-
-      std::printf("%-6zu %-18s %-14.0f %-14.0f %-14.0f %-10.2f\n", batch,
-                  mode.name, commit.p50, commit.p95, put_rtt_us, p50_over_rtt);
-      JsonLine line("fig5_stream");
-      line.Field("batch", static_cast<std::uint64_t>(batch))
-          .Field("mode", mode.name)
-          .Field("writes", static_cast<std::uint64_t>(writes))
-          .Field("write_bytes", static_cast<std::uint64_t>(kWriteBytes))
-          .Field("commit_p50_us", commit.p50)
-          .Field("commit_p95_us", commit.p95)
-          .Field("commit_p99_us", commit.p99)
-          .Field("model_put_rtt_us", put_rtt_us)
-          .Field("p50_over_rtt", p50_over_rtt);
-      line.Emit();
+    std::vector<std::uint64_t> submit_us(static_cast<std::size_t>(writes), 0);
+    for (int i = 0; i < writes; ++i) {
+      WalWrite w;
+      w.file = "pg_xlog/000000010000000000000001";
+      w.offset = static_cast<std::uint64_t>(i) * kWriteBytes;
+      w.data = Bytes(kWriteBytes, 0x5A);
+      w.max_lsn = static_cast<std::uint64_t>(i + 1) * kWriteBytes;
+      submit_us[static_cast<std::size_t>(i)] = clock->NowMicros();
+      pipeline->Submit(std::move(w));
+      clock->SleepMicros(kInterarrivalUs);
     }
+    pipeline->Drain();
+    const std::uint64_t drained_us = clock->NowMicros();
+    pipeline->Stop();
+
+    std::vector<double> latencies(static_cast<std::size_t>(writes));
+    {
+      std::lock_guard<std::mutex> lock(events_mu);
+      std::size_t w = 0;
+      for (const auto& [at_us, lsn] : events) {
+        while (w < latencies.size() &&
+               static_cast<Lsn>(w + 1) * kWriteBytes <= lsn) {
+          latencies[w] = static_cast<double>(at_us - submit_us[w]);
+          ++w;
+        }
+      }
+      for (; w < latencies.size(); ++w) {
+        latencies[w] = static_cast<double>(drained_us - submit_us[w]);
+      }
+    }
+    std::sort(latencies.begin(), latencies.end());
+    auto quantile = [&](double q) {
+      const std::size_t idx = std::min(
+          latencies.size() - 1,
+          static_cast<std::size_t>(q * static_cast<double>(latencies.size())));
+      return latencies[idx];
+    };
+    const double per_kwrite = 1000.0 / static_cast<double>(writes);
+    const double puts = static_cast<double>(store->Usage().puts) * per_kwrite;
+    const double objects =
+        static_cast<double>(pipeline->stats().objects_uploaded.Get()) *
+        per_kwrite;
+    // The offered-load window: requests extrapolate at the write rate.
+    const double usd_month = store->MonthlyCost(
+        prices,
+        static_cast<double>(writes) * static_cast<double>(kInterarrivalUs));
+
+    std::printf("%-6zu %-10d %-12.0f %-12.0f %-12.0f %-12.1f %-12.1f %-12.2f\n",
+                batch, uploaders, quantile(0.50) / 1e3, quantile(0.95) / 1e3,
+                quantile(0.99) / 1e3, puts, objects, usd_month);
+    JsonLine line("fig5_commit");
+    line.Field("batch", static_cast<std::uint64_t>(batch))
+        .Field("uploaders", uploaders)
+        .Field("writes", static_cast<std::uint64_t>(writes))
+        .Field("write_bytes", static_cast<std::uint64_t>(kWriteBytes))
+        .Field("writes_per_s", 1e6 / static_cast<double>(kInterarrivalUs))
+        .Field("commit_p50_us", quantile(0.50))
+        .Field("commit_p95_us", quantile(0.95))
+        .Field("commit_p99_us", quantile(0.99))
+        .Field("puts_per_kwrite", puts)
+        .Field("wal_objects_per_kwrite", objects)
+        .Field("wal_usd_per_month", usd_month);
+    line.Emit();
   }
   std::printf(
-      "\nExpected shape: buffered p50 carries batch fill + a full-object\n"
-      "PUT; streaming trims the close-to-ack tail to one finish RTT; early\n"
-      "acks bring p50 to ~1x the segment PUT RTT at B=100.\n");
+      "\nExpected shape: small B pays about one PUT round-trip; p50 rises once\n"
+      "the batch fill rivals it, while PUTs and dollars fall as 1/B.\n");
 }
 
 }  // namespace
@@ -348,7 +340,7 @@ int main(int argc, char** argv) {
   if (!g_smoke) RunFlavor(DbFlavor::kMySql);
   RunTerminalSweep();
   RunIngestSweep();
-  RunStreamSweep();
+  RunCommitSweep();
   if (!g_smoke) {
     std::printf(
         "\nExpected shape (paper Section 8.1): FUSE costs ~7-12%% vs ext4; large\n"

@@ -122,8 +122,7 @@ int RunWarmReplicaBench() {
     const double warm_ms =
         static_cast<double>(promotion->rto_micros) / 1e3;
     const std::uint64_t peak_lag = standby.peak_lag_objects();
-    const std::uint64_t residual =
-        promotion->residual_wal_objects + promotion->residual_tail_segments;
+    const std::uint64_t residual = promotion->residual_wal_objects;
 
     auto raw = stack->raw_store;
     const DbLayout layout = stack->db->layout();

@@ -81,79 +81,4 @@ Status DiskStore::Delete(std::string_view name) {
   return Status::Ok();  // S3 semantics: deleting a missing object succeeds
 }
 
-// Streams into "<staging_hint>.tmp" — invisible to List/Get (the .tmp
-// filter) — and renames into place at Finish, the same atomic-publish
-// pattern as the buffered Put.
-class DiskStoreWriter : public ObjectWriter {
- public:
-  DiskStoreWriter(DiskStore* store, fs::path tmp)
-      : store_(store), tmp_(std::move(tmp)) {}
-
-  ~DiskStoreWriter() override {
-    if (!finished_ && !aborted_) Abort();
-  }
-
-  Status AppendPart(std::uint32_t index, ByteView part) override {
-    if (finished_ || aborted_) {
-      return Status::InvalidArgument("writer already closed");
-    }
-    if (index < next_) return Status::Ok();
-    if (index != next_) {
-      return Status::InvalidArgument("stream part out of order");
-    }
-    std::lock_guard<std::mutex> lock(store_->mu_);
-    if (next_ == 0) {
-      std::error_code ec;
-      fs::create_directories(tmp_.parent_path(), ec);
-    }
-    std::ofstream out(tmp_, std::ios::binary | std::ios::app);
-    if (!out) return Status::IoError("cannot open " + tmp_.string());
-    out.write(reinterpret_cast<const char*>(part.data()),
-              static_cast<std::streamsize>(part.size()));
-    if (!out) return Status::IoError("short write to " + tmp_.string());
-    ++next_;
-    return Status::Ok();
-  }
-
-  Status Finish(std::string_view name) override {
-    if (aborted_) return Status::InvalidArgument("writer aborted");
-    if (finished_) return Status::Ok();  // idempotent: already published
-    std::lock_guard<std::mutex> lock(store_->mu_);
-    const fs::path path = store_->PathFor(name);
-    std::error_code ec;
-    fs::create_directories(path.parent_path(), ec);
-    if (next_ == 0) {
-      // Zero-part stream: publish an empty object.
-      std::ofstream out(tmp_, std::ios::binary | std::ios::trunc);
-      if (!out) return Status::IoError("cannot open " + tmp_.string());
-    }
-    fs::rename(tmp_, path, ec);
-    // A failed rename leaves the temp file for a retried Finish.
-    if (ec) return Status::IoError("rename failed: " + ec.message());
-    finished_ = true;
-    return Status::Ok();
-  }
-
-  void Abort() override {
-    if (finished_ || aborted_) return;
-    aborted_ = true;
-    std::lock_guard<std::mutex> lock(store_->mu_);
-    std::error_code ec;
-    fs::remove(tmp_, ec);
-  }
-
- private:
-  DiskStore* store_;
-  fs::path tmp_;
-  std::uint32_t next_ = 0;
-  bool finished_ = false;
-  bool aborted_ = false;
-};
-
-Result<ObjectWriterPtr> DiskStore::BeginStreaming(
-    std::string_view staging_hint) {
-  const fs::path tmp = PathFor(staging_hint).string() + ".tmp";
-  return ObjectWriterPtr(new DiskStoreWriter(this, tmp));
-}
-
 }  // namespace ginja

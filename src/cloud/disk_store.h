@@ -22,15 +22,9 @@ class DiskStore : public ObjectStore {
                                        std::string_view start_after) override;
   Status Delete(std::string_view name) override;
 
-  // Streamed PUT: parts append to "<staging_hint>.tmp" (List skips *.tmp,
-  // so the stream stays invisible), Finish renames it into place.
-  Result<ObjectWriterPtr> BeginStreaming(std::string_view staging_hint) override;
-
   const std::filesystem::path& root() const { return root_; }
 
  private:
-  friend class DiskStoreWriter;
-
   std::filesystem::path PathFor(std::string_view name) const;
 
   std::filesystem::path root_;

@@ -72,38 +72,4 @@ Status FaultyStore::Delete(std::string_view name) {
   return inner_->Delete(name);
 }
 
-class FaultyStoreWriter : public ObjectWriter {
- public:
-  FaultyStoreWriter(FaultyStore* store, ObjectWriterPtr inner)
-      : store_(store), inner_(std::move(inner)) {}
-
-  Status AppendPart(std::uint32_t index, ByteView part) override {
-    if (store_->ShouldFail()) {
-      return Status::Unavailable("injected stream-part failure");
-    }
-    return inner_->AppendPart(index, part);
-  }
-
-  Status Finish(std::string_view name) override {
-    if (store_->ShouldFail()) {
-      return Status::Unavailable("injected stream-finish failure");
-    }
-    return inner_->Finish(name);
-  }
-
-  void Abort() override { inner_->Abort(); }
-
- private:
-  FaultyStore* store_;
-  ObjectWriterPtr inner_;
-};
-
-Result<ObjectWriterPtr> FaultyStore::BeginStreaming(
-    std::string_view staging_hint) {
-  if (ShouldFail()) return Status::Unavailable("injected stream-open failure");
-  auto inner = inner_->BeginStreaming(staging_hint);
-  if (!inner.ok()) return inner.status();
-  return ObjectWriterPtr(new FaultyStoreWriter(this, std::move(*inner)));
-}
-
 }  // namespace ginja

@@ -26,11 +26,6 @@ class FaultyStore : public ObjectStore {
                                        std::string_view start_after) override;
   Status Delete(std::string_view name) override;
 
-  // Streamed PUT with per-part injection: each AppendPart/Finish rolls
-  // the same failure dice as a whole operation, so retry loops around
-  // individual parts get exercised.
-  Result<ObjectWriterPtr> BeginStreaming(std::string_view staging_hint) override;
-
   void SetFailureProbability(double p) { failure_probability_ = p; }
   void SetAvailable(bool available) { available_ = available; }
   void FailNextOps(int n) { fail_next_ = n; }
@@ -45,8 +40,6 @@ class FaultyStore : public ObjectStore {
   ~FaultyStore() override;
 
  private:
-  friend class FaultyStoreWriter;
-
   // Returns true if this op should fail.
   bool ShouldFail();
 

@@ -42,37 +42,4 @@ Status FencedStore::Delete(std::string_view name) {
   return inner_->Delete(name);
 }
 
-// Streamed uploads re-check the fence at every part and at Finish. The
-// Finish check is what makes fencing atomic: parts staged before the
-// promotion can never be published afterwards.
-class FencedStoreWriter : public ObjectWriter {
- public:
-  FencedStoreWriter(FencedStore* store, ObjectWriterPtr inner)
-      : store_(store), inner_(std::move(inner)) {}
-
-  Status AppendPart(std::uint32_t index, ByteView part) override {
-    GINJA_RETURN_IF_ERROR(store_->CheckFence());
-    return inner_->AppendPart(index, part);
-  }
-
-  Status Finish(std::string_view name) override {
-    GINJA_RETURN_IF_ERROR(store_->CheckFence());
-    return inner_->Finish(name);
-  }
-
-  void Abort() override { inner_->Abort(); }
-
- private:
-  FencedStore* store_;
-  ObjectWriterPtr inner_;
-};
-
-Result<ObjectWriterPtr> FencedStore::BeginStreaming(
-    std::string_view staging_hint) {
-  GINJA_RETURN_IF_ERROR(CheckFence());
-  auto inner = inner_->BeginStreaming(staging_hint);
-  if (!inner.ok()) return inner.status();
-  return ObjectWriterPtr(new FencedStoreWriter(this, std::move(*inner)));
-}
-
 }  // namespace ginja

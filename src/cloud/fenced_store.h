@@ -3,22 +3,18 @@
 // Failover correctness (see ginja/failover.h) hinges on the old primary
 // never publishing another object once a standby has promoted. The
 // HeartbeatWriter notices the bumped `meta/epoch` only at its next beat —
-// a window in which the zombie's already-queued PUTs and half-streamed
-// uploads would still land. Real object stores close that window with
-// conditional requests (S3 If-None-Match / preconditioned multipart
-// complete); this decorator models the same contract locally:
+// a window in which the zombie's already-queued PUTs would still land.
+// Real object stores close that window with conditional requests (S3
+// If-None-Match); this decorator models the same contract locally:
 //
 //   * a FenceToken carries the highest epoch anyone has observed — the
 //     promoting standby Raise()s it as part of Promote();
 //   * a FencedStore wraps the primary's store with the epoch that primary
-//     believes it owns. Every mutation (Put, Delete, streamed AppendPart
-//     and — critically — Finish) re-checks the token and returns ABORTED
-//     once a higher epoch exists.
+//     believes it owns. Every mutation (Put, Delete) re-checks the token
+//     and returns ABORTED once a higher epoch exists.
 //
-// Because Finish is checked, a stream caught mid-flight by a promotion is
-// rejected *atomically*: its staged parts are never published, so the
-// bucket never shows a half-written object from a fenced writer. Reads
-// (Get/List) pass through — a zombie may still observe, never mutate.
+// Reads (Get/List) pass through — a zombie may still observe, never
+// mutate.
 #pragma once
 
 #include <atomic>
@@ -62,7 +58,6 @@ class FencedStore : public ObjectStore {
   Result<std::vector<ObjectMeta>> List(std::string_view prefix,
                                        std::string_view start_after) override;
   Status Delete(std::string_view name) override;
-  Result<ObjectWriterPtr> BeginStreaming(std::string_view staging_hint) override;
 
   bool fenced() const { return token_->current() > writer_epoch_; }
   std::uint64_t writer_epoch() const { return writer_epoch_; }
@@ -71,8 +66,6 @@ class FencedStore : public ObjectStore {
   std::uint64_t rejected_ops() const { return rejected_.load(); }
 
  private:
-  friend class FencedStoreWriter;
-
   Status CheckFence();  // Ok, or ABORTED with the epochs in the message
 
   ObjectStorePtr inner_;

@@ -47,15 +47,6 @@ std::uint64_t LatencyModel::PutLatencyMicros(std::uint64_t bytes) {
       (params_.put_base_us + kb * params_.put_us_per_kb) * Jitter());
 }
 
-std::uint64_t LatencyModel::PutPartLatencyMicros(std::uint64_t bytes) {
-  const double kb = static_cast<double>(bytes) / 1024.0;
-  return static_cast<std::uint64_t>(kb * params_.put_us_per_kb * Jitter());
-}
-
-std::uint64_t LatencyModel::PutFinishLatencyMicros() {
-  return static_cast<std::uint64_t>(params_.put_base_us * Jitter());
-}
-
 std::uint64_t LatencyModel::GetLatencyMicros(std::uint64_t bytes) {
   const double kb = static_cast<double>(bytes) / 1024.0;
   return static_cast<std::uint64_t>(

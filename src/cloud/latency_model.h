@@ -46,13 +46,6 @@ class LatencyModel {
 
   // Returns the model latency for the op in microseconds.
   std::uint64_t PutLatencyMicros(std::uint64_t bytes);
-  // Streamed-PUT decomposition: a part pays only the per-byte transfer
-  // term, the finish pays the per-request base (TLS + request overhead +
-  // commit). Their sum over a whole object matches PutLatencyMicros in
-  // expectation — streaming moves the size term off the critical path, it
-  // doesn't make bytes free.
-  std::uint64_t PutPartLatencyMicros(std::uint64_t bytes);
-  std::uint64_t PutFinishLatencyMicros();
   std::uint64_t GetLatencyMicros(std::uint64_t bytes);
   std::uint64_t ListLatencyMicros(std::uint64_t num_objects);
   std::uint64_t DeleteLatencyMicros();

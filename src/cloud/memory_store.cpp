@@ -2,48 +2,6 @@
 
 namespace ginja {
 
-namespace {
-
-// Accumulates parts privately; Finish is one ordinary Put. The insert
-// moves a shared_ptr, so even multi-MB streamed objects publish with a
-// constant-time critical section.
-class MemoryStoreWriter : public ObjectWriter {
- public:
-  explicit MemoryStoreWriter(MemoryStore* store) : store_(store) {}
-
-  Status AppendPart(std::uint32_t index, ByteView part) override {
-    if (finished_ || aborted_) {
-      return Status::InvalidArgument("writer already closed");
-    }
-    if (index < next_) return Status::Ok();
-    if (index != next_) {
-      return Status::InvalidArgument("stream part out of order");
-    }
-    Append(buffer_, part);
-    ++next_;
-    return Status::Ok();
-  }
-
-  Status Finish(std::string_view name) override {
-    if (aborted_) return Status::InvalidArgument("writer aborted");
-    if (finished_) return Status::Ok();  // idempotent: already published
-    Status st = store_->Put(name, View(buffer_));
-    if (st.ok()) finished_ = true;  // a failed Finish may be retried
-    return st;
-  }
-
-  void Abort() override { aborted_ = true; }
-
- private:
-  MemoryStore* store_;
-  Bytes buffer_;
-  std::uint32_t next_ = 0;
-  bool finished_ = false;
-  bool aborted_ = false;
-};
-
-}  // namespace
-
 Status MemoryStore::Put(std::string_view name, ByteView data) {
   // Copy the payload (the expensive part for multi-MB objects) before
   // taking the map lock, so K concurrent PUTs — latency benches with the
@@ -123,11 +81,6 @@ Status MemoryStore::Delete(std::string_view name) {
   std::lock_guard<std::mutex> lock(mu_);
   objects_.erase(std::string(name));
   return Status::Ok();
-}
-
-Result<ObjectWriterPtr> MemoryStore::BeginStreaming(
-    std::string_view /*staging_hint*/) {
-  return ObjectWriterPtr(new MemoryStoreWriter(this));
 }
 
 std::size_t MemoryStore::ObjectCount() const {

@@ -96,74 +96,6 @@ Status MeteredStore::Delete(std::string_view name) {
   return st;
 }
 
-// Streamed-PUT accounting: parts sleep the transfer term as they arrive,
-// Finish sleeps the request base and books the whole object as one PUT.
-class MeteredStoreWriter : public ObjectWriter {
- public:
-  MeteredStoreWriter(MeteredStore* store, ObjectWriterPtr inner)
-      : store_(store), inner_(std::move(inner)) {}
-
-  Status AppendPart(std::uint32_t index, ByteView part) override {
-    if (index < next_) return Status::Ok();  // idempotent retry, no re-billing
-    if (store_->latency_) {
-      const std::uint64_t us =
-          store_->latency_->PutPartLatencyMicros(part.size());
-      store_->latency_->Sleep(us);
-      slept_us_ += us;
-    }
-    Status st = inner_->AppendPart(index, part);
-    if (st.ok()) {
-      next_ = index + 1;
-      total_bytes_ += part.size();
-    }
-    return st;
-  }
-
-  Status Finish(std::string_view name) override {
-    if (finished_) return Status::Ok();  // idempotent: already billed
-    if (store_->latency_) {
-      const std::uint64_t us = store_->latency_->PutFinishLatencyMicros();
-      store_->latency_->Sleep(us);
-      slept_us_ += us;
-    }
-    Status st = inner_->Finish(name);
-    if (st.ok()) {
-      finished_ = true;
-      std::lock_guard<std::mutex> lock(store_->mu_);
-      store_->AccrueStorageLocked(store_->clock_->NowMicros());
-      ++store_->usage_.puts;
-      store_->usage_.bytes_uploaded += total_bytes_;
-      auto [it, inserted] =
-          store_->object_sizes_.try_emplace(std::string(name), total_bytes_);
-      if (!inserted) {
-        store_->usage_.current_storage_bytes -= it->second;
-        it->second = total_bytes_;
-      }
-      store_->usage_.current_storage_bytes += total_bytes_;
-      store_->put_latency_.Record(static_cast<double>(slept_us_));
-      store_->put_object_size_.Record(static_cast<double>(total_bytes_));
-    }
-    return st;
-  }
-
-  void Abort() override { inner_->Abort(); }
-
- private:
-  MeteredStore* store_;
-  ObjectWriterPtr inner_;
-  std::uint32_t next_ = 0;
-  std::uint64_t total_bytes_ = 0;
-  std::uint64_t slept_us_ = 0;
-  bool finished_ = false;
-};
-
-Result<ObjectWriterPtr> MeteredStore::BeginStreaming(
-    std::string_view staging_hint) {
-  auto inner = inner_->BeginStreaming(staging_hint);
-  if (!inner.ok()) return inner.status();
-  return ObjectWriterPtr(new MeteredStoreWriter(this, std::move(*inner)));
-}
-
 UsageReport MeteredStore::Usage() const {
   std::lock_guard<std::mutex> lock(mu_);
   auto* self = const_cast<MeteredStore*>(this);

@@ -45,12 +45,6 @@ class MeteredStore : public ObjectStore {
                                        std::string_view start_after) override;
   Status Delete(std::string_view name) override;
 
-  // Streamed PUT: each part sleeps only the per-byte transfer term,
-  // Finish sleeps the per-request base — same total as a buffered Put of
-  // the whole object, but the size term overlaps the producer. Usage is
-  // accounted once, at Finish (a torn stream never billed as a PUT).
-  Result<ObjectWriterPtr> BeginStreaming(std::string_view staging_hint) override;
-
   UsageReport Usage() const;
 
   // Prices the usage so far. `window_micros` is the observation window in
@@ -82,8 +76,6 @@ class MeteredStore : public ObjectStore {
   Clock& clock() { return *clock_; }
 
  private:
-  friend class MeteredStoreWriter;
-
   void AccrueStorageLocked(std::uint64_t now);
 
   ObjectStorePtr inner_;

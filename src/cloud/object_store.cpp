@@ -2,54 +2,6 @@
 
 namespace ginja {
 
-namespace {
-
-// Fallback writer: accumulates parts in memory and issues one ordinary
-// Put at Finish. Decorator stores that don't reimplement streaming (and
-// plain stores where parts buy nothing, like MemoryStore's map insert)
-// get correct atomic-publish semantics from this.
-class BufferedObjectWriter : public ObjectWriter {
- public:
-  explicit BufferedObjectWriter(ObjectStore* store) : store_(store) {}
-
-  Status AppendPart(std::uint32_t index, ByteView part) override {
-    if (finished_ || aborted_) {
-      return Status::InvalidArgument("writer already closed");
-    }
-    if (index < next_) return Status::Ok();  // idempotent retry of an old part
-    if (index != next_) {
-      return Status::InvalidArgument("stream part out of order");
-    }
-    Append(buffer_, part);
-    ++next_;
-    return Status::Ok();
-  }
-
-  Status Finish(std::string_view name) override {
-    if (aborted_) return Status::InvalidArgument("writer aborted");
-    if (finished_) return Status::Ok();  // idempotent: already published
-    Status st = store_->Put(name, View(buffer_));
-    if (st.ok()) finished_ = true;  // a failed Finish may be retried
-    return st;
-  }
-
-  void Abort() override { aborted_ = true; }
-
- private:
-  ObjectStore* store_;
-  Bytes buffer_;
-  std::uint32_t next_ = 0;
-  bool finished_ = false;
-  bool aborted_ = false;
-};
-
-}  // namespace
-
-Result<ObjectWriterPtr> ObjectStore::BeginStreaming(
-    std::string_view /*staging_hint*/) {
-  return ObjectWriterPtr(new BufferedObjectWriter(this));
-}
-
 Result<std::vector<ObjectMeta>> ObjectStore::List(std::string_view prefix,
                                                   std::string_view start_after) {
   auto all = List(prefix);

@@ -6,14 +6,6 @@
 // add latency, metering (for the cost model), fault injection, and
 // multi-cloud replication. All are safe for concurrent use — Ginja uploads
 // from several CommitThreads in parallel.
-//
-// Streaming PUT: BeginStreaming() opens an ObjectWriter so an object's
-// bytes can leave the machine part by part while the producer is still
-// generating them (S3 multipart upload; the on-disk store appends to a
-// temp file). The final name is supplied at Finish() — Ginja's WAL object
-// names embed max_lsn, which is only known once the batch closes — and
-// nothing is visible to Get/List until Finish() returns Ok. Every store
-// inherits a correct buffered fallback.
 #pragma once
 
 #include <cstdint>
@@ -31,32 +23,6 @@ struct ObjectMeta {
   std::string name;
   std::uint64_t size = 0;
 };
-
-// One in-progress streamed object. Parts are appended in dense index
-// order (0, 1, 2, ...); re-appending an index the writer already applied
-// is an idempotent no-op, so a retry loop may safely resend the last part.
-// The object becomes visible atomically at Finish(name); Abort() (or
-// destruction without Finish) leaves no trace a recovery could see.
-// A writer is NOT thread-safe; callers serialize access per stream.
-class ObjectWriter {
- public:
-  virtual ~ObjectWriter() = default;
-
-  virtual Status AppendPart(std::uint32_t index, ByteView part) = 0;
-
-  // Publishes the accumulated parts under `name`. Retry-safe: after a
-  // failed attempt Finish may be called again (with the same name), and
-  // once it has returned Ok further calls are idempotent no-ops returning
-  // Ok — both are required so a shared retry loop (and a replicated
-  // fan-out re-driving a partial quorum) can converge. After Abort(),
-  // Finish returns INVALID_ARGUMENT.
-  virtual Status Finish(std::string_view name) = 0;
-
-  // Discards the stream (best effort; also the destructor's behavior).
-  virtual void Abort() = 0;
-};
-
-using ObjectWriterPtr = std::unique_ptr<ObjectWriter>;
 
 class ObjectStore {
  public:
@@ -84,13 +50,6 @@ class ObjectStore {
 
   // Deleting a missing object succeeds (S3 semantics).
   virtual Status Delete(std::string_view name) = 0;
-
-  // Opens a streamed upload. `staging_hint` names the in-progress upload
-  // for backends that stage under a temporary key (S3 multipart, disk
-  // temp file); it must be unique among concurrently open streams. The
-  // default implementation buffers parts in memory and issues one Put at
-  // Finish — semantically identical, no overlap benefit.
-  virtual Result<ObjectWriterPtr> BeginStreaming(std::string_view staging_hint);
 };
 
 using ObjectStorePtr = std::shared_ptr<ObjectStore>;

@@ -73,75 +73,4 @@ Status ReplicatedStore::Delete(std::string_view name) {
   return acks >= quorum_ ? Status::Ok() : last_error;
 }
 
-namespace {
-
-class ReplicatedStoreWriter : public ObjectWriter {
- public:
-  ReplicatedStoreWriter(std::vector<ObjectWriterPtr> writers, int quorum)
-      : writers_(std::move(writers)), quorum_(quorum) {}
-
-  Status AppendPart(std::uint32_t index, ByteView part) override {
-    int alive = 0;
-    Status last_error = Status::Unavailable("no replica reachable");
-    for (auto& writer : writers_) {
-      if (!writer) continue;
-      Status st = writer->AppendPart(index, part);
-      if (st.ok()) {
-        ++alive;
-      } else {
-        // The replica's stream is torn — past parts can't be resent out
-        // of order, so drop it from the stream entirely.
-        writer->Abort();
-        writer.reset();
-        last_error = st;
-      }
-    }
-    return alive >= quorum_ ? Status::Ok() : last_error;
-  }
-
-  Status Finish(std::string_view name) override {
-    int acks = 0;
-    Status last_error = Status::Unavailable("no replica reachable");
-    for (auto& writer : writers_) {
-      if (!writer) continue;
-      Status st = writer->Finish(name);
-      if (st.ok()) ++acks;
-      else last_error = st;
-    }
-    return acks >= quorum_ ? Status::Ok() : last_error;
-  }
-
-  void Abort() override {
-    for (auto& writer : writers_) {
-      if (writer) writer->Abort();
-    }
-  }
-
- private:
-  std::vector<ObjectWriterPtr> writers_;
-  int quorum_;
-};
-
-}  // namespace
-
-Result<ObjectWriterPtr> ReplicatedStore::BeginStreaming(
-    std::string_view staging_hint) {
-  std::vector<ObjectWriterPtr> writers;
-  writers.reserve(replicas_.size());
-  int alive = 0;
-  Status last_error = Status::Unavailable("no replica reachable");
-  for (auto& replica : replicas_) {
-    auto writer = replica->BeginStreaming(staging_hint);
-    if (writer.ok()) {
-      writers.push_back(std::move(*writer));
-      ++alive;
-    } else {
-      writers.push_back(nullptr);
-      last_error = writer.status();
-    }
-  }
-  if (alive < quorum_) return last_error;
-  return ObjectWriterPtr(new ReplicatedStoreWriter(std::move(writers), quorum_));
-}
-
 }  // namespace ginja

@@ -27,12 +27,6 @@ class ReplicatedStore : public ObjectStore {
                                        std::string_view start_after) override;
   Status Delete(std::string_view name) override;
 
-  // Streamed PUT fans parts out to every replica's writer; a replica whose
-  // append fails is dropped from the stream (its staged upload aborted),
-  // and Finish succeeds when a quorum of replicas published the object —
-  // the same durability rule as the buffered Put.
-  Result<ObjectWriterPtr> BeginStreaming(std::string_view staging_hint) override;
-
   int quorum() const { return quorum_; }
   std::size_t replica_count() const { return replicas_.size(); }
 

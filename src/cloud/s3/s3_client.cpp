@@ -63,145 +63,6 @@ Status S3Client::Delete(std::string_view name) {
   return Status::Ok();
 }
 
-// Drives the multipart wire protocol. The upload is initiated lazily on
-// the first part (a stream that never appends costs no requests) and
-// lands under the staging key; Finish completes it, copies it server-side
-// to the final name, and deletes the staging key.
-class S3StreamWriter : public ObjectWriter {
- public:
-  S3StreamWriter(S3Client* client, std::string staging_key)
-      : client_(client), staging_key_(std::move(staging_key)) {}
-
-  ~S3StreamWriter() override {
-    if (!finished_) Abort();
-  }
-
-  Status AppendPart(std::uint32_t index, ByteView part) override {
-    if (finished_ || aborted_) {
-      return Status::InvalidArgument("writer already closed");
-    }
-    if (index < next_) return Status::Ok();
-    if (index != next_) {
-      return Status::InvalidArgument("stream part out of order");
-    }
-    if (upload_id_.empty()) {
-      GINJA_RETURN_IF_ERROR(Initiate());
-    }
-    HttpRequest request;
-    request.method = "PUT";
-    request.path = ObjectPath();
-    request.query["partNumber"] = std::to_string(index + 1);  // 1-based in S3
-    request.query["uploadId"] = upload_id_;
-    request.body.assign(part.begin(), part.end());
-    auto response = client_->Send(std::move(request));
-    if (!response.ok()) return response.status();
-    if (response->status != 200) {
-      return Status::Unavailable("S3 UploadPart HTTP " +
-                                 std::to_string(response->status));
-    }
-    ++next_;
-    return Status::Ok();
-  }
-
-  // Resumable across retries: each wire step is recorded once it
-  // succeeds, so a retried Finish resumes at the failed step instead of
-  // re-driving a completed upload (whose uploadId no longer exists).
-  Status Finish(std::string_view name) override {
-    if (aborted_) return Status::InvalidArgument("writer aborted");
-    if (finished_) return Status::Ok();  // idempotent: already published
-    if (upload_id_.empty()) {
-      GINJA_RETURN_IF_ERROR(client_->Put(name, {}));  // zero parts
-      finished_ = true;
-      return Status::Ok();
-    }
-    if (!completed_) {
-      HttpRequest request;
-      request.method = "POST";
-      request.path = ObjectPath();
-      request.query["uploadId"] = upload_id_;
-      auto response = client_->Send(std::move(request));
-      if (!response.ok()) return response.status();
-      if (response->status != 200) {
-        return Status::Unavailable("S3 CompleteMultipartUpload HTTP " +
-                                   std::to_string(response->status));
-      }
-      completed_ = true;
-    }
-    {
-      HttpRequest request;
-      request.method = "PUT";
-      request.path = "/" + client_->bucket_ + "/" +
-                     UriEncode(name, /*encode_slash=*/false);
-      request.headers["x-amz-copy-source"] = "/" + client_->bucket_ + "/" +
-                                             UriEncode(staging_key_,
-                                                       /*encode_slash=*/false);
-      auto response = client_->Send(std::move(request));
-      if (!response.ok()) return response.status();
-      if (response->status != 200) {
-        return Status::Unavailable("S3 CopyObject HTTP " +
-                                   std::to_string(response->status));
-      }
-    }
-    GINJA_RETURN_IF_ERROR(client_->Delete(staging_key_));
-    finished_ = true;
-    return Status::Ok();
-  }
-
-  void Abort() override {
-    if (finished_ || aborted_) return;
-    aborted_ = true;
-    if (completed_) {
-      // The parts were already assembled under the staging key; reap it.
-      (void)client_->Delete(staging_key_);
-      return;
-    }
-    if (upload_id_.empty()) return;
-    HttpRequest request;
-    request.method = "DELETE";
-    request.path = ObjectPath();
-    request.query["uploadId"] = upload_id_;
-    (void)client_->Send(std::move(request));  // best effort
-  }
-
- private:
-  std::string ObjectPath() const {
-    return "/" + client_->bucket_ + "/" +
-           UriEncode(staging_key_, /*encode_slash=*/false);
-  }
-
-  Status Initiate() {
-    HttpRequest request;
-    request.method = "POST";
-    request.path = ObjectPath();
-    request.query["uploads"] = "";
-    auto response = client_->Send(std::move(request));
-    if (!response.ok()) return response.status();
-    if (response->status != 200) {
-      return Status::Unavailable("S3 CreateMultipartUpload HTTP " +
-                                 std::to_string(response->status));
-    }
-    const std::string doc(response->body.begin(), response->body.end());
-    auto id = XmlExtract(doc, "UploadId");
-    if (!id || id->empty()) {
-      return Status::Corruption("InitiateMultipartUploadResult without UploadId");
-    }
-    upload_id_ = *id;
-    return Status::Ok();
-  }
-
-  S3Client* client_;
-  std::string staging_key_;
-  std::string upload_id_;
-  std::uint32_t next_ = 0;
-  bool completed_ = false;  // CompleteMultipartUpload acknowledged
-  bool finished_ = false;
-  bool aborted_ = false;
-};
-
-Result<ObjectWriterPtr> S3Client::BeginStreaming(std::string_view staging_hint) {
-  return ObjectWriterPtr(new S3StreamWriter(this, std::string(staging_hint)));
-}
-
 Result<std::vector<ObjectMeta>> S3Client::List(std::string_view prefix) {
   return List(prefix, {});
 }

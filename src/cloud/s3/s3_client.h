@@ -28,16 +28,7 @@ class S3Client : public ObjectStore {
                                        std::string_view start_after) override;
   Status Delete(std::string_view name) override;
 
-  // Real S3 multipart upload: initiate (POST ?uploads) under the staging
-  // key, one PUT ?partNumber=N per part, complete (POST ?uploadId) at
-  // Finish, then a server-side copy (x-amz-copy-source) to the final name
-  // — multipart can't learn its key after initiation, and Ginja only
-  // knows the object name at stream close.
-  Result<ObjectWriterPtr> BeginStreaming(std::string_view staging_hint) override;
-
  private:
-  friend class S3StreamWriter;
-
   Result<HttpResponse> Send(HttpRequest request);
 
   std::shared_ptr<HttpTransport> transport_;

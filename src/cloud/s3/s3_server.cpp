@@ -1,6 +1,5 @@
 #include "cloud/s3/s3_server.h"
 
-#include <cstdlib>
 #include <sstream>
 
 #include "cloud/s3/xml.h"
@@ -87,15 +86,14 @@ Result<HttpResponse> S3Server::RoundTrip(const HttpRequest& request) {
 
 HttpResponse S3Server::HandleObject(const HttpRequest& request,
                                     const std::string& key) {
-  // Multipart-upload verbs and server-side copy route before the plain
-  // object verbs: they share methods (PUT/POST/DELETE) and differ only in
-  // query parameters / the x-amz-copy-source header.
-  if (request.query.count("uploads") > 0 || request.query.count("uploadId") > 0) {
-    return HandleMultipart(request, key);
-  }
-  if (request.method == "PUT" &&
+  // Ginja issues only single-request PUTs: multipart-upload verbs and
+  // server-side copy share methods with the plain object verbs, so they
+  // are told apart by query / header and refused.
+  if (request.query.count("uploads") > 0 ||
+      request.query.count("uploadId") > 0 ||
       request.headers.count("x-amz-copy-source") > 0) {
-    return HandleCopy(request, key);
+    return ErrorResponse(501, "NotImplemented",
+                         "multipart upload and copy are not supported");
   }
 
   HttpResponse response;
@@ -128,114 +126,6 @@ HttpResponse S3Server::HandleObject(const HttpRequest& request,
     return response;
   }
   return ErrorResponse(405, "MethodNotAllowed", request.method);
-}
-
-HttpResponse S3Server::HandleMultipart(const HttpRequest& request,
-                                       const std::string& key) {
-  std::lock_guard<std::mutex> lock(multipart_mu_);
-
-  // POST ?uploads — CreateMultipartUpload.
-  if (request.method == "POST" && request.query.count("uploads") > 0) {
-    const std::string id = "upload-" + std::to_string(next_upload_id_++);
-    uploads_[id].key = key;
-    HttpResponse response;
-    response.status = 200;
-    response.body = ToBytes(
-        "<?xml version=\"1.0\" encoding=\"UTF-8\"?>\n"
-        "<InitiateMultipartUploadResult><Bucket>" + XmlEscape(bucket_) +
-        "</Bucket><Key>" + XmlEscape(key) + "</Key><UploadId>" + id +
-        "</UploadId></InitiateMultipartUploadResult>");
-    response.headers["content-type"] = "application/xml";
-    return response;
-  }
-
-  const auto id_it = request.query.find("uploadId");
-  if (id_it == request.query.end()) {
-    return ErrorResponse(400, "InvalidRequest", "missing uploadId");
-  }
-  auto upload_it = uploads_.find(id_it->second);
-  if (upload_it == uploads_.end() || upload_it->second.key != key) {
-    return ErrorResponse(404, "NoSuchUpload",
-                         "The specified upload does not exist.");
-  }
-  MultipartUpload& upload = upload_it->second;
-
-  // PUT ?partNumber=N&uploadId — UploadPart.
-  if (request.method == "PUT") {
-    const auto part_it = request.query.find("partNumber");
-    if (part_it == request.query.end()) {
-      return ErrorResponse(400, "InvalidRequest", "missing partNumber");
-    }
-    const int part = std::atoi(part_it->second.c_str());
-    if (part < 1 || part > 10000) {  // real S3's part-number bounds
-      return ErrorResponse(400, "InvalidArgument", "partNumber out of range");
-    }
-    upload.parts[static_cast<std::uint32_t>(part)] = request.body;
-    HttpResponse response;
-    response.status = 200;
-    const auto etag = Sha256::Hash(View(request.body));
-    response.headers["etag"] = "\"" + ToHex(ByteView(etag.data(), 16)) + "\"";
-    return response;
-  }
-
-  // POST ?uploadId — CompleteMultipartUpload: concatenate parts in
-  // part-number order into one backend object.
-  if (request.method == "POST") {
-    Bytes assembled;
-    for (const auto& [number, body] : upload.parts) {
-      Append(assembled, View(body));
-    }
-    Status st = backend_->Put(key, View(assembled));
-    if (!st.ok()) return ErrorResponse(500, "InternalError", st.ToString());
-    uploads_.erase(upload_it);
-    HttpResponse response;
-    response.status = 200;
-    response.body = ToBytes(
-        "<?xml version=\"1.0\" encoding=\"UTF-8\"?>\n"
-        "<CompleteMultipartUploadResult><Bucket>" + XmlEscape(bucket_) +
-        "</Bucket><Key>" + XmlEscape(key) +
-        "</Key></CompleteMultipartUploadResult>");
-    response.headers["content-type"] = "application/xml";
-    return response;
-  }
-
-  // DELETE ?uploadId — AbortMultipartUpload.
-  if (request.method == "DELETE") {
-    uploads_.erase(upload_it);
-    HttpResponse response;
-    response.status = 204;
-    return response;
-  }
-  return ErrorResponse(405, "MethodNotAllowed", request.method);
-}
-
-HttpResponse S3Server::HandleCopy(const HttpRequest& request,
-                                  const std::string& key) {
-  // x-amz-copy-source: "/<bucket>/<key>", URI-encoded like a path.
-  const std::string source =
-      UriDecode(request.headers.at("x-amz-copy-source"));
-  const std::string expected_prefix = "/" + bucket_ + "/";
-  if (source.compare(0, expected_prefix.size(), expected_prefix) != 0) {
-    return ErrorResponse(400, "InvalidRequest", "copy source bucket mismatch");
-  }
-  const std::string source_key = source.substr(expected_prefix.size());
-  auto data = backend_->Get(source_key);
-  if (!data.ok()) {
-    if (data.status().code() == ErrorCode::kNotFound) {
-      return ErrorResponse(404, "NoSuchKey",
-                           "The specified key does not exist.");
-    }
-    return ErrorResponse(500, "InternalError", data.status().ToString());
-  }
-  Status st = backend_->Put(key, View(*data));
-  if (!st.ok()) return ErrorResponse(500, "InternalError", st.ToString());
-  HttpResponse response;
-  response.status = 200;
-  response.body = ToBytes(
-      "<?xml version=\"1.0\" encoding=\"UTF-8\"?>\n"
-      "<CopyObjectResult></CopyObjectResult>");
-  response.headers["content-type"] = "application/xml";
-  return response;
 }
 
 HttpResponse S3Server::HandleList(const HttpRequest& request) {

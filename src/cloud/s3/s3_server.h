@@ -1,14 +1,13 @@
 // In-process S3 REST server: implements the request side of the wire
 // protocol (SigV4 verification, PUT/GET/DELETE object, ListObjectsV2 with
-// pagination, multipart upload + server-side copy) over any ObjectStore
-// backend. Paired with S3Client it gives an offline, end-to-end-authentic
-// S3 path; misuse (bad signature, wrong bucket, unknown key) yields the
-// same status codes and XML error bodies real S3 sends.
+// pagination) over any ObjectStore backend. Paired with S3Client it gives
+// an offline, end-to-end-authentic S3 path; misuse (bad signature, wrong
+// bucket, unknown key) yields the same status codes and XML error bodies
+// real S3 sends. Multipart upload and server-side copy, which Ginja never
+// issues, are answered 501 NotImplemented.
 #pragma once
 
-#include <map>
 #include <memory>
-#include <mutex>
 
 #include "cloud/object_store.h"
 #include "cloud/s3/http.h"
@@ -27,18 +26,8 @@ class S3Server : public HttpTransport {
   std::uint64_t rejected_requests() const { return rejected_.Get(); }
 
  private:
-  // One in-progress multipart upload: parts staged by number until
-  // complete (POST ?uploadId) concatenates them into the backend.
-  struct MultipartUpload {
-    std::string key;
-    std::map<std::uint32_t, Bytes> parts;
-  };
-
   HttpResponse HandleList(const HttpRequest& request);
   HttpResponse HandleObject(const HttpRequest& request, const std::string& key);
-  HttpResponse HandleMultipart(const HttpRequest& request,
-                               const std::string& key);
-  HttpResponse HandleCopy(const HttpRequest& request, const std::string& key);
   static HttpResponse ErrorResponse(int status, const std::string& code,
                                     const std::string& message);
 
@@ -47,10 +36,6 @@ class S3Server : public HttpTransport {
   SigV4Signer signer_;
   std::size_t max_keys_;
   Counter rejected_;
-
-  std::mutex multipart_mu_;
-  std::map<std::string, MultipartUpload> uploads_;  // by uploadId
-  std::uint64_t next_upload_id_ = 1;
 };
 
 }  // namespace ginja

@@ -4,32 +4,6 @@
 
 namespace ginja {
 
-namespace {
-
-// Finish() arrives with the tenant-relative name; republish it scoped.
-class NamespacedWriter : public ObjectWriter {
- public:
-  NamespacedWriter(ObjectWriterPtr inner, const std::string* prefix)
-      : inner_(std::move(inner)), prefix_(prefix) {}
-
-  Status AppendPart(std::uint32_t index, ByteView part) override {
-    return inner_->AppendPart(index, part);
-  }
-
-  Status Finish(std::string_view name) override {
-    return inner_->Finish(*prefix_ + std::string(name));
-  }
-
-  void Abort() override { inner_->Abort(); }
-
- private:
-  ObjectWriterPtr inner_;
-  const std::string* prefix_;  // owned by the TenantNamespace, which a
-                               // writer never outlives (same store stack)
-};
-
-}  // namespace
-
 TenantNamespace::TenantNamespace(ObjectStorePtr inner, std::string prefix)
     : inner_(std::move(inner)), prefix_(std::move(prefix)) {}
 
@@ -85,13 +59,6 @@ Result<std::vector<ObjectMeta>> TenantNamespace::List(
 
 Status TenantNamespace::Delete(std::string_view name) {
   return inner_->Delete(Scoped(name));
-}
-
-Result<ObjectWriterPtr> TenantNamespace::BeginStreaming(
-    std::string_view staging_hint) {
-  auto writer = inner_->BeginStreaming(Scoped(staging_hint));
-  if (!writer.ok()) return writer.status();
-  return ObjectWriterPtr(new NamespacedWriter(std::move(*writer), &prefix_));
 }
 
 }  // namespace ginja

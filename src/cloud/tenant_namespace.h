@@ -1,7 +1,7 @@
 // TenantNamespace — scopes one tenant's keys inside a shared bucket.
 //
 // A fleet of Ginja tenants shares one object store (one bucket, one
-// price book, one TransferManager). Each tenant's WAL/CKPT/WALTAIL/meta
+// price book, one TransferManager). Each tenant's WAL/DB/CHUNK/meta
 // objects live under a per-tenant prefix ("t/<id>/") so that CloudView
 // rebuilds, GC sweeps, and recovery LISTs see exactly one tenant's
 // objects and the flat `object_id.*` naming scheme keeps working
@@ -36,10 +36,6 @@ class TenantNamespace : public ObjectStore {
   Result<std::vector<ObjectMeta>> List(std::string_view prefix,
                                        std::string_view start_after) override;
   Status Delete(std::string_view name) override;
-
-  // Streams stage under the namespaced hint (unique across tenants
-  // sharing a backend) and Finish publishes under the namespaced name.
-  Result<ObjectWriterPtr> BeginStreaming(std::string_view staging_hint) override;
 
   const std::string& prefix() const { return prefix_; }
   const ObjectStorePtr& inner() const { return inner_; }

@@ -77,16 +77,6 @@ void TransferManager::RegisterMetrics(MetricsRegistry* registry,
                              labels, &stats_.bytes_downloaded);
   registry_->RegisterCounter(this, "ginja_transfer_bytes_uploaded_total",
                              labels, &stats_.bytes_uploaded);
-  registry_->RegisterCounter(this, "ginja_transfer_streams_opened_total",
-                             labels, &stats_.streams_opened);
-  registry_->RegisterCounter(this, "ginja_transfer_streams_finished_total",
-                             labels, &stats_.streams_finished);
-  registry_->RegisterCounter(this, "ginja_transfer_stream_parts_total",
-                             labels, &stats_.stream_parts);
-  registry_->RegisterHistogram(this, "ginja_transfer_part_put_latency_us",
-                               labels, &stats_.part_put_latency_us);
-  registry_->RegisterHistogram(this, "ginja_transfer_first_byte_latency_us",
-                               labels, &stats_.first_byte_latency_us);
   registry_->RegisterHistogram(this, "ginja_transfer_get_latency_us", labels,
                                &stats_.get_latency_us);
   registry_->RegisterHistogram(this, "ginja_transfer_put_latency_us", labels,
@@ -109,7 +99,6 @@ void TransferManager::Fail(Op& op, const Status& status) {
   } else {
     op.status_result.set_value(status);
   }
-  if (op.done) op.done(status);
   if (op.account) op.account->OnDone(status, 0);
 }
 
@@ -165,51 +154,6 @@ std::future<Status> TransferManager::DeleteAsync(TransferRoute route,
   auto future = op.status_result.get_future();
   Enqueue(std::move(op));
   return future;
-}
-
-void TransferManager::PutAsyncCb(TransferRoute route, std::string name,
-                                 Bytes data, std::function<void(Status)> done) {
-  Op op;
-  op.kind = Op::Kind::kPut;
-  op.name = std::move(name);
-  op.data = std::move(data);
-  op.done = std::move(done);
-  op.store = std::move(route.store);
-  op.account = std::move(route.account);
-  Enqueue(std::move(op));
-}
-
-void TransferManager::DeleteAsyncCb(TransferRoute route, std::string name,
-                                    std::function<void(Status)> done) {
-  Op op;
-  op.kind = Op::Kind::kDelete;
-  op.name = std::move(name);
-  op.done = std::move(done);
-  op.store = std::move(route.store);
-  op.account = std::move(route.account);
-  Enqueue(std::move(op));
-}
-
-std::future<Status> TransferManager::SubmitFn(TransferRoute route,
-                                              std::function<Status()> fn,
-                                              std::function<void(Status)> done) {
-  Op op;
-  op.kind = Op::Kind::kFn;
-  op.name = "<fn>";
-  op.fn = std::move(fn);
-  op.done = std::move(done);
-  op.store = std::move(route.store);
-  op.account = std::move(route.account);
-  auto future = op.status_result.get_future();
-  Enqueue(std::move(op));
-  return future;
-}
-
-StreamSessionPtr TransferManager::BeginStream(TransferRoute route,
-                                              std::string staging_hint) {
-  stats_.streams_opened.Add();
-  return StreamSessionPtr(
-      new StreamSession(this, std::move(route), std::move(staging_hint)));
 }
 
 std::vector<Status> TransferManager::DeleteAll(
@@ -296,7 +240,6 @@ void TransferManager::Execute(Op& op) {
           stats_.get_latency_us.Record(
               static_cast<double>(clock_->NowMicros() - started));
           op.get_result.set_value(std::move(blob));
-          if (op.done) op.done(Status::Ok());
           if (op.account) op.account->OnDone(Status::Ok(), 0);
           return;
         }
@@ -311,7 +254,6 @@ void TransferManager::Execute(Op& op) {
           stats_.put_latency_us.Record(
               static_cast<double>(clock_->NowMicros() - started));
           op.status_result.set_value(st);
-          if (op.done) op.done(st);
           if (op.account) op.account->OnDone(st, op.data.size());
           return;
         }
@@ -325,18 +267,6 @@ void TransferManager::Execute(Op& op) {
           stats_.delete_latency_us.Record(
               static_cast<double>(clock_->NowMicros() - started));
           op.status_result.set_value(st);
-          if (op.done) op.done(st);
-          if (op.account) op.account->OnDone(st, 0);
-          return;
-        }
-        last = st;
-        break;
-      }
-      case Op::Kind::kFn: {
-        Status st = op.fn();
-        if (st.ok()) {
-          op.status_result.set_value(st);
-          if (op.done) op.done(st);
           if (op.account) op.account->OnDone(st, 0);
           return;
         }
@@ -362,214 +292,6 @@ void TransferManager::Execute(Op& op) {
         {{"object", op.name}, {"status", last.ToString()}});
   }
   Fail(op, last);
-}
-
-StreamSession::StreamSession(TransferManager* manager, TransferRoute route,
-                             std::string staging_hint)
-    : manager_(manager),
-      route_(std::move(route)),
-      staging_hint_(std::move(staging_hint)),
-      opened_us_(manager->clock_->NowMicros()) {}
-
-Status StreamSession::EnsureWriter() {
-  // Worker-side: only the single in-flight operation touches writer_, and
-  // op_inflight_ transitions under mu_ order those touches.
-  if (writer_) return Status::Ok();
-  ObjectStore* store =
-      route_.store ? route_.store.get() : manager_->store_.get();
-  auto writer = store->BeginStreaming(staging_hint_);
-  if (!writer.ok()) return writer.status();
-  writer_ = std::move(*writer);
-  return Status::Ok();
-}
-
-void StreamSession::AppendPart(std::uint32_t index, Bytes part,
-                               std::function<void(Status)> done) {
-  bool dead = false;
-  bool durable = false;
-  Status failure;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (failed_) {
-      dead = true;
-      failure = failure_;
-    } else if (index < next_index_) {
-      durable = true;  // idempotent resubmission of a landed part
-    } else {
-      pending_[index] = {std::move(part), std::move(done)};
-    }
-  }
-  if (dead) {
-    if (done) done(failure);
-    return;
-  }
-  if (durable) {
-    if (done) done(Status::Ok());
-    return;
-  }
-  Pump();
-}
-
-std::future<Status> StreamSession::Finish(std::uint32_t total_parts,
-                                          std::string final_name,
-                                          std::function<void(Status)> done) {
-  std::future<Status> future;
-  bool dead = false;
-  Status failure;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    future = finish_promise_.get_future();
-    finish_requested_ = true;
-    total_parts_ = total_parts;
-    final_name_ = std::move(final_name);
-    if (failed_) {
-      dead = true;
-      failure = failure_;
-      if (!finish_resolved_) {
-        finish_resolved_ = true;
-        finish_promise_.set_value(failure);
-      }
-    } else {
-      finish_done_ = std::move(done);
-    }
-  }
-  if (dead) {
-    if (done) done(failure);
-    return future;
-  }
-  Pump();
-  return future;
-}
-
-void StreamSession::Abort() {
-  const Status status = Status::Aborted("stream aborted");
-  std::vector<std::function<void(Status)>> drained;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    drained = FailLocked(status);
-  }
-  for (auto& cb : drained) cb(status);
-}
-
-std::size_t StreamSession::BacklogParts() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return pending_.size() + (op_inflight_ ? 1 : 0);
-}
-
-std::vector<std::function<void(Status)>> StreamSession::FailLocked(
-    const Status& status) {
-  std::vector<std::function<void(Status)>> cbs;
-  if (failed_) return cbs;
-  failed_ = true;
-  failure_ = status;
-  for (auto& [index, entry] : pending_) {
-    if (entry.second) cbs.push_back(std::move(entry.second));
-  }
-  pending_.clear();
-  if (finish_requested_ && !finish_resolved_) {
-    finish_resolved_ = true;
-    finish_promise_.set_value(status);
-    if (finish_done_) cbs.push_back(std::move(finish_done_));
-  }
-  return cbs;
-}
-
-void StreamSession::Pump() {
-  std::function<Status()> fn;
-  std::function<void(Status)> done;
-  auto self = shared_from_this();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (op_inflight_ || failed_) return;
-    auto it = pending_.find(next_index_);
-    if (it != pending_.end()) {
-      const std::uint32_t index = next_index_;
-      auto part = std::make_shared<Bytes>(std::move(it->second.first));
-      auto part_done = std::move(it->second.second);
-      pending_.erase(it);
-      op_inflight_ = true;
-      const std::uint64_t started = manager_->clock_->NowMicros();
-      fn = [self, index, part]() -> Status {
-        Status st = self->EnsureWriter();
-        if (!st.ok()) return st;
-        return self->writer_->AppendPart(index, View(*part));
-      };
-      done = [self, index, started, bytes = part->size(),
-              part_done = std::move(part_done)](Status st) {
-        self->OnPartDone(index, started, bytes, st, part_done);
-      };
-    } else if (finish_requested_ && next_index_ >= total_parts_) {
-      op_inflight_ = true;
-      fn = [self]() -> Status {
-        Status st = self->EnsureWriter();  // a zero-part stream still opens
-        if (!st.ok()) return st;
-        return self->writer_->Finish(self->final_name_);
-      };
-      done = [self](Status st) { self->OnFinishDone(st); };
-    } else {
-      return;  // waiting for the next dense index (or for Finish)
-    }
-  }
-  // Outside mu_: a synchronous failure (manager cancelled) invokes `done`
-  // on this thread, which re-enters via On*Done -> Pump and returns on
-  // failed_ without deadlocking. The session's route bills each writer
-  // operation to the tenant's account.
-  TransferRoute route;
-  route.account = route_.account;
-  manager_->SubmitFn(std::move(route), std::move(fn), std::move(done));
-}
-
-void StreamSession::OnPartDone(std::uint32_t index, std::uint64_t started_us,
-                               std::size_t bytes, const Status& status,
-                               const std::function<void(Status)>& done) {
-  Status report = status;
-  std::vector<std::function<void(Status)>> drained;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    op_inflight_ = false;
-    if (failed_) {
-      report = failure_;  // e.g. Abort() raced the in-flight part
-    } else if (status.ok()) {
-      next_index_ = index + 1;
-      const std::uint64_t now = manager_->clock_->NowMicros();
-      manager_->stats_.stream_parts.Add();
-      manager_->stats_.bytes_uploaded.Add(bytes);
-      manager_->stats_.part_put_latency_us.Record(
-          static_cast<double>(now - started_us));
-      if (index == 0) {
-        manager_->stats_.first_byte_latency_us.Record(
-            static_cast<double>(now - opened_us_));
-      }
-    } else {
-      drained = FailLocked(status);
-    }
-  }
-  if (done) done(report);
-  for (auto& cb : drained) cb(status);
-  Pump();
-}
-
-void StreamSession::OnFinishDone(const Status& status) {
-  Status report = status;
-  std::function<void(Status)> done;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    op_inflight_ = false;
-    if (failed_) {
-      report = failure_;
-    } else if (status.ok()) {
-      manager_->stats_.streams_finished.Add();
-    } else {
-      failed_ = true;  // later appends must not resurrect the stream
-      failure_ = status;
-    }
-    if (!finish_resolved_) {
-      finish_resolved_ = true;
-      finish_promise_.set_value(report);
-      done = std::move(finish_done_);
-    }
-  }
-  if (done) done(report);
 }
 
 }  // namespace ginja

@@ -11,8 +11,7 @@
 // Consumers in this repo:
 //   * Ginja::Recover keeps a window of K GETs in flight (prefetch);
 //   * CheckpointPipeline PUTs the parts of a dump/checkpoint concurrently;
-//   * garbage collection fans DELETEs out through DeleteAll();
-//   * CommitPipeline streams WAL objects part-by-part via BeginStream().
+//   * garbage collection fans DELETEs out through DeleteAll().
 //
 // Every *Async call returns a std::future fulfilled by a worker thread.
 // Dropping a future is safe: the operation still runs to completion (or is
@@ -25,9 +24,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <future>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -179,102 +176,14 @@ struct TransferStats {
   Counter failed_ops;        // operations that returned an error
   Counter bytes_downloaded;
   Counter bytes_uploaded;
-  // Streamed uploads (StreamSession).
-  Counter streams_opened;
-  Counter streams_finished;  // streams whose Finish published the object
-  Counter stream_parts;      // parts durably staged
   // Model-time latency of successful operations, retries included.
   Histogram get_latency_us;
   Histogram put_latency_us;
   Histogram delete_latency_us;
-  // Per-part latency (submit -> part durable) and the stream's first-byte
-  // latency (stream open -> part 0 durable).
-  Histogram part_put_latency_us;
-  Histogram first_byte_latency_us;
   // Operations currently executing, and the high-water mark.
   std::atomic<int> inflight{0};
   std::atomic<int> peak_inflight{0};
 };
-
-class TransferManager;
-
-// One streamed object upload driven through a TransferManager's workers.
-//
-// AppendPart is thread-safe and non-blocking: parts are staged under the
-// session lock and fed to the backend's ObjectWriter strictly one at a
-// time in dense index order (ObjectWriter is not thread-safe, and parts
-// must land in order), reordering out-of-order submissions. Each writer
-// call runs as one pool operation under the shared retry policy, so a
-// transient store error retries with the same jittered backoff as every
-// other transfer. Finish(total_parts, name) publishes the object once all
-// parts < total_parts are durable; the supplied callback (and returned
-// future) fire with the publish status.
-//
-// A permanent part failure kills the session: every staged and subsequent
-// callback fires with that failure and Finish resolves with it. Abort()
-// does the same with ABORTED; the underlying writer is reaped (backend
-// abort) when the session is destroyed. Obtain sessions only from
-// TransferManager::BeginStream, and drop them before the manager.
-class StreamSession : public std::enable_shared_from_this<StreamSession> {
- public:
-  // Stages part `index` (dense from 0). `done` fires exactly once, from a
-  // worker thread, with the part's durability status. An index at or
-  // below the durable frontier completes immediately with Ok.
-  void AppendPart(std::uint32_t index, Bytes part,
-                  std::function<void(Status)> done = nullptr);
-
-  // Declares the stream complete at `total_parts` parts and publishes it
-  // under `final_name` once they are all durable. Call at most once.
-  std::future<Status> Finish(std::uint32_t total_parts, std::string final_name,
-                             std::function<void(Status)> done = nullptr);
-
-  // Fails everything still pending with ABORTED. Idempotent.
-  void Abort();
-
-  // Parts staged or in flight, i.e. accepted but not yet durable — the
-  // producer-side backpressure signal.
-  std::size_t BacklogParts() const;
-
- private:
-  friend class TransferManager;
-
-  StreamSession(TransferManager* manager, TransferRoute route,
-                std::string staging_hint);
-
-  // Submits the next runnable writer operation, if any. At most one is in
-  // flight per session; completion re-enters Pump from the worker.
-  void Pump();
-  Status EnsureWriter();  // worker-side, lazy BeginStreaming
-  void OnPartDone(std::uint32_t index, std::uint64_t started_us,
-                  std::size_t bytes, const Status& status,
-                  const std::function<void(Status)>& done);
-  void OnFinishDone(const Status& status);
-  // Marks the session dead and returns every callback owed the failure;
-  // the caller invokes them outside mu_.
-  std::vector<std::function<void(Status)>> FailLocked(const Status& status);
-
-  TransferManager* manager_;
-  TransferRoute route_;
-  std::string staging_hint_;
-  std::uint64_t opened_us_;
-  ObjectWriterPtr writer_;  // touched only by the single in-flight op
-
-  mutable std::mutex mu_;
-  std::map<std::uint32_t, std::pair<Bytes, std::function<void(Status)>>>
-      pending_;
-  std::uint32_t next_index_ = 0;  // durable frontier: parts < this landed
-  bool op_inflight_ = false;
-  bool failed_ = false;
-  Status failure_ = Status::Ok();
-  bool finish_requested_ = false;
-  bool finish_resolved_ = false;
-  std::uint32_t total_parts_ = 0;
-  std::string final_name_;
-  std::function<void(Status)> finish_done_;
-  std::promise<Status> finish_promise_;
-};
-
-using StreamSessionPtr = std::shared_ptr<StreamSession>;
 
 class TransferManager {
  public:
@@ -306,41 +215,6 @@ class TransferManager {
                                Bytes data);
   std::future<Status> DeleteAsync(TransferRoute route, std::string name);
 
-  // Callback variants: `done` fires exactly once from a worker thread
-  // with the final status (after retries), sparing callers a future they
-  // would only poll. The callback must not block for long — it runs on
-  // the pool and stalls a worker while it does.
-  void PutAsyncCb(std::string name, Bytes data,
-                  std::function<void(Status)> done) {
-    PutAsyncCb({}, std::move(name), std::move(data), std::move(done));
-  }
-  void DeleteAsyncCb(std::string name, std::function<void(Status)> done) {
-    DeleteAsyncCb({}, std::move(name), std::move(done));
-  }
-  void PutAsyncCb(TransferRoute route, std::string name, Bytes data,
-                  std::function<void(Status)> done);
-  void DeleteAsyncCb(TransferRoute route, std::string name,
-                     std::function<void(Status)> done);
-
-  // Runs an arbitrary store-touching closure on the pool under the shared
-  // retry policy (`fn` is re-invoked on retryable errors, so it must be
-  // retry-safe). Building block for StreamSession's writer operations.
-  std::future<Status> SubmitFn(std::function<Status()> fn,
-                               std::function<void(Status)> done = nullptr) {
-    return SubmitFn({}, std::move(fn), std::move(done));
-  }
-  std::future<Status> SubmitFn(TransferRoute route, std::function<Status()> fn,
-                               std::function<void(Status)> done = nullptr);
-
-  // Opens a streamed object upload (see StreamSession above).
-  // `staging_hint` names the backend's in-progress upload and must be
-  // unique among concurrently open streams (a TenantNamespace store makes
-  // it so across tenants by scoping the hint).
-  StreamSessionPtr BeginStream(std::string staging_hint) {
-    return BeginStream({}, std::move(staging_hint));
-  }
-  StreamSessionPtr BeginStream(TransferRoute route, std::string staging_hint);
-
   // Blocking conveniences.
   Result<Bytes> Get(std::string name) { return GetAsync(std::move(name)).get(); }
   Status Put(std::string name, Bytes data) {
@@ -368,17 +242,12 @@ class TransferManager {
   void RegisterMetrics(MetricsRegistry* registry, std::string component);
 
  private:
-  friend class StreamSession;
-
   struct Op {
-    enum class Kind { kGet, kPut, kDelete, kFn } kind = Kind::kGet;
+    enum class Kind { kGet, kPut, kDelete } kind = Kind::kGet;
     std::string name;
     Bytes data;                               // PUT payload, owned by the op
-    std::function<Status()> fn;               // body for kFn
     std::promise<Result<Bytes>> get_result;   // fulfilled for kGet
     std::promise<Status> status_result;       // fulfilled otherwise
-    // Optional completion hook, any kind; invoked after the promise.
-    std::function<void(Status)> done;
     // Per-op routing: store override + billing account (see TransferRoute).
     ObjectStorePtr store;
     TransferAccountPtr account;

@@ -12,7 +12,6 @@ namespace ginja {
 namespace {
 constexpr std::uint32_t kMagicV1 = 0x314A4E47u;  // "GNJ1" little-endian
 constexpr std::uint32_t kMagicV2 = 0x324A4E47u;  // "GNJ2" little-endian
-constexpr std::uint32_t kMagicV3 = 0x334A4E47u;  // "GNJ3" little-endian
 constexpr std::uint8_t kFlagCompressed = 0x01;
 constexpr std::uint8_t kFlagEncrypted = 0x02;
 
@@ -69,12 +68,6 @@ Bytes Envelope::EncodeDerived(ByteView payload, std::uint64_t nonce,
 Result<Bytes> Envelope::DecodeDerived(ByteView enveloped,
                                       ByteView key_tweak) const {
   if (!options_.encrypt) return Decode(enveloped);
-  if (enveloped.size() >= kStreamPrologueSize &&
-      GetU32(enveloped.data()) == kMagicV3) {
-    // Chunks are never stream containers; recursing with a derived key
-    // would mix key domains across segments.
-    return Status::Corruption("derived-key object cannot be a v3 stream");
-  }
   return DecodeWith(enveloped, DeriveObjectAes(key_tweak));
 }
 
@@ -241,26 +234,7 @@ void Envelope::EncodeV2Into(const PayloadView& payload, std::uint64_t nonce,
   SealHeader(kMagicV2, flags, options_.encrypt ? nonce : 0, out);
 }
 
-Bytes Envelope::StreamPrologue() {
-  Bytes out;
-  out.reserve(kStreamPrologueSize);
-  PutU32(out, kMagicV3);
-  out.push_back(0);  // flags, reserved
-  return out;
-}
-
-void Envelope::AppendStreamSegment(Bytes& out, ByteView enveloped_segment) {
-  PutU32(out, static_cast<std::uint32_t>(enveloped_segment.size()));
-  Append(out, enveloped_segment);
-}
-
 Result<Bytes> Envelope::Decode(ByteView enveloped) const {
-  // The v3 container has no header MAC of its own — integrity lives in the
-  // per-segment envelopes — so it branches off before the MAC logic.
-  if (enveloped.size() >= kStreamPrologueSize &&
-      GetU32(enveloped.data()) == kMagicV3) {
-    return DecodeV3(enveloped);
-  }
   return DecodeWith(enveloped, enc_aes_);
 }
 
@@ -289,30 +263,6 @@ Result<Bytes> Envelope::DecodeWith(ByteView enveloped,
 
   return magic == kMagicV1 ? DecodeV1(flags, nonce, aes, body)
                            : DecodeV2(flags, nonce, aes, body);
-}
-
-Result<Bytes> Envelope::DecodeV3(ByteView enveloped) const {
-  // A torn stream — the final segment's frame or bytes cut short — is
-  // Corruption: recovery treats the object like any other undecodable WAL
-  // tail (truncate there). Every complete segment still MAC-verifies on
-  // its own, so corruption inside an earlier segment is caught too.
-  std::size_t pos = kStreamPrologueSize;
-  Bytes out;
-  while (pos < enveloped.size()) {
-    if (pos + 4 > enveloped.size()) {
-      return Status::Corruption("v3 segment frame truncated");
-    }
-    const std::uint32_t seg_len = GetU32(enveloped.data() + pos);
-    pos += 4;
-    if (seg_len == 0 || pos + seg_len > enveloped.size()) {
-      return Status::Corruption("v3 segment truncated");
-    }
-    auto payload = Decode(enveloped.subspan(pos, seg_len));
-    if (!payload.ok()) return payload.status();
-    Append(out, View(*payload));
-    pos += seg_len;
-  }
-  return out;
 }
 
 Result<Bytes> Envelope::DecodeV1(std::uint8_t flags, std::uint64_t nonce,

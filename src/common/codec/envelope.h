@@ -24,22 +24,6 @@
 // bounds enc_len <= chunk_bytes and keeps keystream ranges disjoint. The
 // MAC always covers everything after the header.
 //
-// A third wire version carries *streamed* objects — uploads whose bytes
-// leave the machine before the object is complete, so nothing can be
-// patched retroactively (v1/v2 seal their header MAC last, which forbids
-// streaming them):
-//
-//   v3 'GNJ3' — segment container, no header MAC:
-//     u32 magic, u8 flags (reserved, 0)           the 5-byte prologue
-//     per segment: u32 seg_len, seg_len bytes     a complete v1/v2 envelope
-//
-// Each segment is a self-contained envelope with its own MAC and its own
-// nonce (the commit pipeline tags stream-segment nonces into a dedicated
-// subspace), so integrity is per segment and a torn tail — a final
-// segment whose bytes never all landed — decodes as Corruption while
-// every preceding segment stays verifiable. Decoding concatenates the
-// segment payloads in order.
-//
 // The hot path is EncodeInto: it consumes a scatter-gather PayloadView,
 // reserves the output once, compresses straight into it, encrypts in place
 // (CTR XORs the keystream over the written bytes), and patches the MAC into
@@ -124,23 +108,14 @@ class Envelope {
                       ByteView key_tweak) const;
   Result<Bytes> DecodeDerived(ByteView enveloped, ByteView key_tweak) const;
 
-  // Verifies the MAC and reverses compression/encryption. Accepts all
-  // three wire versions (v3 decodes each segment recursively and
-  // concatenates the payloads).
+  // Verifies the MAC and reverses compression/encryption. Accepts both
+  // wire versions.
   Result<Bytes> Decode(ByteView enveloped) const;
-
-  // -- v3 streamed container helpers ----------------------------------------
-  // The producer builds a stream as: StreamPrologue() once, then one
-  // AppendStreamSegment per enveloped segment. Any byte-concatenation of
-  // those parts in order is a valid (possibly torn) v3 object.
-  static Bytes StreamPrologue();
-  static void AppendStreamSegment(Bytes& out, ByteView enveloped_segment);
 
   const EnvelopeOptions& options() const { return options_; }
   const CodecStats& stats() const { return stats_; }
 
   static constexpr std::size_t kHeaderSize = 4 + 1 + 8 + 20;
-  static constexpr std::size_t kStreamPrologueSize = 4 + 1;
 
  private:
   // Resolves logical range [begin, begin+len) of the payload: a direct
@@ -172,7 +147,6 @@ class Envelope {
                          const Aes128& aes, ByteView body) const;
   Result<Bytes> DecodeV2(std::uint8_t flags, std::uint64_t nonce,
                          const Aes128& aes, ByteView body) const;
-  Result<Bytes> DecodeV3(ByteView enveloped) const;
 
   EnvelopeOptions options_;
   std::array<std::uint8_t, 16> enc_key_;

@@ -67,8 +67,6 @@ void CheckpointPipeline::RegisterMetrics() {
                     &stats_.bytes_uploaded);
   r.RegisterCounter(this, "ginja_gc_wal_objects_deleted_total", Labels(),
                     &stats_.wal_objects_deleted);
-  r.RegisterCounter(this, "ginja_gc_wal_tails_deleted_total", Labels(),
-                    &stats_.wal_tails_deleted);
   r.RegisterCounter(this, "ginja_gc_db_objects_deleted_total", Labels(),
                     &stats_.db_objects_deleted);
   r.RegisterCounter(this, "ginja_dedup_hit_bytes_total", Labels(),
@@ -612,21 +610,12 @@ void CheckpointPipeline::GarbageCollect(const DbObjectJob& job,
   // TransferManager in one wave; the view drops only the objects whose
   // DELETE succeeded, so a failed delete is retried by the next GC pass.
   std::vector<WalObjectId> wal_victims;
-  std::vector<TailObjectId> tail_victims;
   std::vector<DbObjectId> db_victims;
   std::vector<std::string> names;
   for (const auto& wal : view_->WalObjectsCoveredBy(job.redo_lsn)) {
     if (keep.count(wal.Encode()) > 0) continue;
     wal_victims.push_back(wal);
     names.push_back(wal.Encode());
-  }
-  // Early-ack tails (streaming commit) die when the checkpoint covers
-  // their cumulative range or their object's fold landed. Because the
-  // cumulative max_lsn is monotone in seg, this always deletes a
-  // seg-prefix per ts — the invariant recovery's dense-suffix rule needs.
-  for (const auto& tail : view_->TailGarbage(job.redo_lsn)) {
-    tail_victims.push_back(tail);
-    names.push_back(tail.Encode());
   }
   if (job.type == DbObjectType::kDump) {
     for (const auto& db : view_->DbObjects()) {
@@ -645,14 +634,6 @@ void CheckpointPipeline::GarbageCollect(const DbObjectJob& job,
     if (statuses[i++].ok()) {
       view_->RemoveWal(wal.ts);
       stats_.wal_objects_deleted.Add();
-    } else {
-      ++failed;
-    }
-  }
-  for (const auto& tail : tail_victims) {
-    if (statuses[i++].ok()) {
-      view_->RemoveTail(tail);
-      stats_.wal_tails_deleted.Add();
     } else {
       ++failed;
     }

@@ -44,7 +44,6 @@ struct CheckpointPipelineStats {
   Counter db_objects_uploaded;   // parts (incl. manifests)
   Counter bytes_uploaded;        // enveloped
   Counter wal_objects_deleted;
-  Counter wal_tails_deleted;   // superseded early-ack tail objects
   Counter db_objects_deleted;
   // Delta-dump dedup (ginja/dedup.h). Hit/miss split the dump's logical
   // bytes: hits were already in the cloud (not re-uploaded), misses were

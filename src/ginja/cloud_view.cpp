@@ -47,54 +47,6 @@ std::vector<WalObjectId> CloudView::WalObjectsCoveredBy(std::uint64_t lsn) const
   return out;
 }
 
-void CloudView::AddTail(const TailObjectId& id) {
-  std::lock_guard<std::mutex> lock(mu_);
-  tails_[{id.ts, id.seg, id.replica}] = id;
-  // A tail proves its ts was handed out; a reboot's LIST must never
-  // reissue it for a new batch.
-  if (id.ts >= next_wal_ts_) {
-    next_wal_ts_ = id.ts + 1;
-    any_wal_ts_ = true;
-  }
-}
-
-void CloudView::RemoveTail(const TailObjectId& id) {
-  std::lock_guard<std::mutex> lock(mu_);
-  tails_.erase({id.ts, id.seg, id.replica});
-}
-
-std::vector<TailObjectId> CloudView::TailObjects() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<TailObjectId> out;
-  out.reserve(tails_.size());
-  for (const auto& [key, id] : tails_) out.push_back(id);
-  return out;
-}
-
-std::vector<TailObjectId> CloudView::TailsForTs(std::uint64_t ts) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<TailObjectId> out;
-  for (auto it = tails_.lower_bound({ts, 0, 0}); it != tails_.end(); ++it) {
-    if (std::get<0>(it->first) != ts) break;
-    out.push_back(it->second);
-  }
-  return out;
-}
-
-std::vector<TailObjectId> CloudView::TailGarbage(std::uint64_t redo_lsn) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<TailObjectId> out;
-  for (const auto& [key, id] : tails_) {
-    if (id.max_lsn <= redo_lsn || wal_.count(id.ts) > 0) out.push_back(id);
-  }
-  return out;
-}
-
-std::size_t CloudView::TailCount() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return tails_.size();
-}
-
 std::uint64_t CloudView::NextCheckpointSeq() {
   std::lock_guard<std::mutex> lock(mu_);
   return next_seq_++;
@@ -131,10 +83,6 @@ bool CloudView::AddFromName(const std::string& name) {
     AddWal(*wal);
     return true;
   }
-  if (auto tail = TailObjectId::Decode(name)) {
-    AddTail(*tail);
-    return true;
-  }
   if (auto db = DbObjectId::Decode(name)) {
     AddDb(*db);
     return true;
@@ -145,7 +93,6 @@ bool CloudView::AddFromName(const std::string& name) {
 void CloudView::Clear() {
   std::lock_guard<std::mutex> lock(mu_);
   wal_.clear();
-  tails_.clear();
   db_.clear();
   next_wal_ts_ = 0;
   next_seq_ = 0;

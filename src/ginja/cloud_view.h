@@ -9,7 +9,6 @@
 #include <mutex>
 #include <optional>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "ginja/object_id.h"
@@ -33,18 +32,6 @@ class CloudView {
   // prefix that a checkpoint with redo LSN `lsn` makes garbage.
   std::vector<WalObjectId> WalObjectsCoveredBy(std::uint64_t lsn) const;
 
-  // -- WAL tail objects (streaming early acks) ---------------------------------
-
-  void AddTail(const TailObjectId& id);
-  void RemoveTail(const TailObjectId& id);
-  std::vector<TailObjectId> TailObjects() const;  // ascending (ts, seg, replica)
-  std::vector<TailObjectId> TailsForTs(std::uint64_t ts) const;
-  // Tails that are safe to delete given a checkpoint redo LSN: those whose
-  // cumulative max_lsn is covered, plus every tail of a ts whose full WAL
-  // object has landed (the fold supersedes them regardless of lsn).
-  std::vector<TailObjectId> TailGarbage(std::uint64_t redo_lsn) const;
-  std::size_t TailCount() const;
-
   // -- DB objects --------------------------------------------------------------
 
   std::uint64_t NextCheckpointSeq();
@@ -67,10 +54,6 @@ class CloudView {
  private:
   mutable std::mutex mu_;
   std::map<std::uint64_t, WalObjectId> wal_;     // by ts
-  // by (ts, seg, replica)
-  std::map<std::tuple<std::uint64_t, std::uint32_t, std::uint32_t>,
-           TailObjectId>
-      tails_;
   std::map<std::pair<std::uint64_t, std::uint32_t>, DbObjectId> db_;  // by (seq, part)
   std::uint64_t next_wal_ts_ = 0;
   std::uint64_t next_seq_ = 0;

@@ -19,14 +19,6 @@ constexpr double kEwmaAlpha = 0.2;
 constexpr std::uint64_t kSleepSliceUs = 20'000;
 // Decorrelates the uploaders' jitter streams (golden-ratio increment).
 constexpr std::uint64_t kSeedStride = 0x9E3779B97F4A7C15ull;
-// Stream-segment nonces live in their own subspace, disjoint from WAL
-// object nonces (the raw ts) and DB part nonces (bit 63 | seq | part):
-// tag | ts << 16 | seg. A tail object reuses its segment's envelope bytes
-// verbatim — same nonce, same ciphertext — so the fold needs no re-encode
-// and never reuses a CTR keystream on different plaintext.
-constexpr std::uint64_t kStreamNonceTag = 0xE5ull << 56;
-// Poll slice while an uploader waits for stream-part-window space.
-constexpr std::uint64_t kWindowPollUs = 500;
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -77,10 +69,8 @@ void AdaptiveBatchController::RecordArrivals(std::size_t count,
   }
 }
 
-void AdaptiveBatchController::NoteUploadState(int inflight_puts,
-                                              double window_occupancy) {
+void AdaptiveBatchController::NoteUploadState(int inflight_puts) {
   inflight_.store(inflight_puts, std::memory_order_relaxed);
-  occupancy_.store(window_occupancy, std::memory_order_relaxed);
 }
 
 double AdaptiveBatchController::TargetLocked() const {
@@ -94,12 +84,7 @@ std::uint64_t AdaptiveBatchController::CloseDeadlineUs() const {
   std::lock_guard<std::mutex> lock(mu_);
   if (!have_rtt_ || !have_rate_) return 0;
   if (TargetLocked() <= 1.0) return 0;
-  double deadline = rtt_ewma_us_ / uploaders_;
-  // A saturated part window means upload bandwidth, not batch timing, is
-  // the bottleneck: stretch the deadline so segments grow instead of
-  // queueing more parts. TB stays the hard cap.
-  const double occ = occupancy_.load(std::memory_order_relaxed);
-  if (occ >= 1.0) deadline *= 1.0 + occ;
+  const double deadline = rtt_ewma_us_ / uploaders_;
   return static_cast<std::uint64_t>(
       std::min(deadline, static_cast<double>(tb_us_)));
 }
@@ -150,47 +135,24 @@ CommitPipeline::CommitPipeline(ObjectStorePtr store,
     RegisterMetrics();
   }
   if (config_.runtime) {
-    // Fleet mode: no private pools. Upload jobs go to the runtime's DRR
-    // scheduler (registered at Start), transfers run on the shared manager
-    // billed to this account, and one thread-safe retry policy serves every
-    // shared worker that picks up this tenant's jobs.
-    account_ = std::make_shared<TransferAccount>(config_.tenant_id);
+    // Fleet mode: no private uploaders. Upload jobs go to the runtime's DRR
+    // scheduler (registered at Start), and one thread-safe retry policy
+    // serves every shared worker that picks up this tenant's jobs.
     fleet_retry_ = std::make_unique<RetryPolicy>(MakeTransferOptions(config_, 1),
                                                  &stats_.upload_retries);
-    if (config_.streaming_commit) {
-      stream_transfers_ = config_.runtime->transfers();
-    }
-  } else if (config_.streaming_commit) {
-    stream_transfers_ = std::make_shared<TransferManager>(
-        store_,
-        MakeTransferOptions(
-            config_,
-            std::max(config_.uploader_threads, config_.transfer_concurrency)),
-        clock_);
-    if (config_.obs) {
-      stream_transfers_->RegisterMetrics(&config_.obs->registry,
-                                         "commit_stream");
-    }
   }
 }
 
 CommitPipeline::~CommitPipeline() {
   if (config_.obs) config_.obs->registry.Unregister(this);
-  // After a clean Stop() the only remaining work is background folded-tail
-  // deletes queued on the stream transfer pool; destroying the members
-  // drains them. Kill() here would cancel them for no benefit.
-  if (!stopped_clean_.load(std::memory_order_acquire)) Kill();
-  // Fleet mode: the shared manager and scheduler outlive this pipeline, so
-  // quiesce everything that could call back into it. Stop()/Kill() already
-  // deregistered the scheduler queue; WaitIdle covers operations still on
-  // the shared pool (a clean stop's folded-tail deletes drain here, the
-  // standalone analogue of destroying the private manager).
+  Kill();
+  // Fleet mode: the scheduler outlives this pipeline, so no queued job may
+  // still reference it. Stop()/Kill() normally deregistered already.
   if (sched_tenant_ != nullptr) {
     config_.runtime->scheduler().Deregister(sched_tenant_,
                                             /*discard_queued=*/true);
     sched_tenant_ = nullptr;
   }
-  if (account_) account_->WaitIdle();
 }
 
 void CommitPipeline::RegisterMetrics() {
@@ -211,22 +173,10 @@ void CommitPipeline::RegisterMetrics() {
                     &stats_.batches_closed_full);
   r.RegisterCounter(this, "ginja_commit_batches_closed_deadline_total", Labels(),
                     &stats_.batches_closed_deadline);
-  r.RegisterCounter(this, "ginja_commit_streams_opened_total", Labels(),
-                    &stats_.streams_opened);
-  r.RegisterCounter(this, "ginja_commit_parts_uploaded_total", Labels(),
-                    &stats_.parts_uploaded);
-  r.RegisterCounter(this, "ginja_commit_tail_objects_uploaded_total", Labels(),
-                    &stats_.tail_objects_uploaded);
-  r.RegisterCounter(this, "ginja_commit_tail_objects_deleted_total", Labels(),
-                    &stats_.tail_objects_deleted);
-  r.RegisterCounter(this, "ginja_commit_writes_early_acked_total", Labels(),
-                    &stats_.writes_early_acked);
   r.RegisterMeter(this, "ginja_commit_object_logical_bytes", Labels(),
                   &stats_.object_logical_bytes);
   r.RegisterHistogram(this, "ginja_commit_latency_us", Labels(),
                       &stats_.commit_latency_us);
-  r.RegisterHistogram(this, "ginja_commit_put_first_byte_us", Labels(),
-                      &stats_.put_first_byte_us);
   // -- DR exposure gauges (the paper's loss bound, live) ---------------------
   r.RegisterGauge(this, "ginja_rpo_exposure_writes", Labels(), [this] {
     const std::uint64_t completed =
@@ -278,18 +228,6 @@ void CommitPipeline::Stop() {
   }
   agg_cv_.notify_all();
   Drain();
-  // Drain() returns at the ack frontier, but an early-acked batch is
-  // acknowledged from its tail objects while the WAL object's Finish (and
-  // the folded tails' deletes) are still in flight. A clean shutdown also
-  // waits for every batch to retire — its object published — so no stream
-  // is torn by the queue close below.
-  {
-    std::unique_lock<std::mutex> lock(block_mu_);
-    unblock_cv_.wait(lock, [&] {
-      return killed_.load(std::memory_order_acquire) ||
-             batches_inflight_.load(std::memory_order_acquire) == 0;
-    });
-  }
   upload_queue_.Close();
   ack_queue_.Close();
   {
@@ -308,7 +246,6 @@ void CommitPipeline::Stop() {
                                             /*discard_queued=*/false);
     sched_tenant_ = nullptr;
   }
-  stopped_clean_.store(true, std::memory_order_release);
 }
 
 void CommitPipeline::Kill() {
@@ -329,15 +266,6 @@ void CommitPipeline::Kill() {
   unblock_cv_.notify_all();
   upload_queue_.Close();
   ack_queue_.Close();
-  // Abandon in-flight stream parts / tail PUTs; their callbacks fire with
-  // ABORTED against the already-closed ack queue. Stop() deliberately does
-  // NOT cancel — it drains. Fleet mode cancels only this tenant's account:
-  // the shared manager keeps serving the other tenants.
-  if (account_) {
-    account_->Cancel();
-  } else if (stream_transfers_) {
-    stream_transfers_->Cancel();
-  }
   for (auto& t : threads_) {
     if (t.joinable()) t.join();
   }
@@ -581,27 +509,8 @@ void CommitPipeline::AggregatorLoop() {
     coarse_now_us_.store(now, std::memory_order_release);
     if (adaptive_) {
       adaptive_->RecordArrivals(newly, now);
-      if (config_.streaming_commit) {
-        const std::size_t backlog =
-            open_stream_ ? open_stream_->session->BacklogParts() : 0;
-        adaptive_->NoteUploadState(
-            static_cast<int>(backlog),
-            static_cast<double>(backlog) /
-                static_cast<double>(
-                    std::max<std::size_t>(1, config_.stream_part_window)));
-      } else {
-        adaptive_->NoteUploadState(
-            buffered_inflight_puts_.load(std::memory_order_relaxed), 0.0);
-      }
-    }
-    if (config_.streaming_commit) {
-      const bool stop_flush = stopping_.load(std::memory_order_acquire);
-      // As in the buffered stop path: pick up writes that raced the stop
-      // so the final flush sees everything submitted before it.
-      if (stop_flush) DrainShards();
-      StreamPass(now, stop_flush);
-      if (stop_flush && staged_.empty() && !open_stream_) return;
-      continue;
+      adaptive_->NoteUploadState(
+          inflight_puts_.load(std::memory_order_relaxed));
     }
     if (staged_.empty()) {
       if (stopping_.load(std::memory_order_acquire)) return;
@@ -736,7 +645,6 @@ void CommitPipeline::FormBatch(std::size_t take, std::uint64_t now_us,
     std::lock_guard<std::mutex> lock(window_mu_);
     batches_.push_back(batch);
   }
-  batches_inflight_.fetch_add(1, std::memory_order_release);
   batched_count_.fetch_add(take, std::memory_order_release);
   (closed_full ? stats_.batches_closed_full : stats_.batches_closed_deadline)
       .Add();
@@ -760,182 +668,6 @@ void CommitPipeline::FormBatch(std::size_t take, std::uint64_t now_us,
   }
   staged_.erase(staged_.begin(),
                 staged_.begin() + static_cast<std::ptrdiff_t>(take));
-  last_agg_time_us_ = now_us;
-}
-
-void CommitPipeline::StreamPass(std::uint64_t now_us, bool stop_flush) {
-  // One stream == one batch == one WAL object, filled segment by segment.
-  // A full stream_segment_writes' worth of staged writes seals a segment
-  // immediately (capped at the B remaining in the batch); the TB/adaptive
-  // deadline or a stop flushes a partial one. The stream closes — its
-  // object gets its final name and publishes — at B writes, at the object
-  // size limit, or on deadline/stop; leftover staged writes then start the
-  // next stream on the following loop iteration.
-  const std::size_t seg_writes =
-      std::max<std::size_t>(1, config_.stream_segment_writes);
-  const std::uint64_t deadline =
-      adaptive_ ? adaptive_->CloseDeadlineUs() : config_.batch_timeout_us;
-  const bool deadline_hit = now_us - last_agg_time_us_ >= deadline;
-  while (true) {
-    const std::size_t batch_remaining =
-        config_.batch - (open_stream_ ? open_stream_->writes : 0);
-    const std::size_t seg_target = std::min(seg_writes, batch_remaining);
-    if (staged_.size() >= seg_target) {
-      if (!open_stream_) OpenStream(now_us);
-      SealSegment(seg_target, now_us);
-    } else if (!staged_.empty() && (stop_flush || deadline_hit)) {
-      if (!open_stream_) OpenStream(now_us);
-      SealSegment(std::min(staged_.size(), batch_remaining), now_us);
-    } else {
-      if (open_stream_ && (stop_flush || deadline_hit)) {
-        CloseStream(now_us, /*closed_full=*/false);
-      }
-      return;
-    }
-    if (open_stream_ && (open_stream_->writes >= config_.batch ||
-                         open_stream_->logical_bytes >= config_.max_object_bytes)) {
-      CloseStream(now_us, /*closed_full=*/true);
-    }
-  }
-}
-
-void CommitPipeline::OpenStream(std::uint64_t now_us) {
-  open_stream_ = std::make_unique<OpenStreamState>();
-  open_stream_->ts = view_->NextWalTs();
-  open_stream_->batch_seq = next_batch_seq_++;
-  open_stream_->opened_us = now_us;
-  open_stream_->session = stream_transfers_->BeginStream(
-      StreamRoute(), "WALSTREAM/" + std::to_string(open_stream_->ts));
-  // Part 0 is the GNJ3 prologue: every prefix of the stream is a valid
-  // (possibly torn) container from the first bytes on.
-  open_stream_->session->AppendPart(0, Envelope::StreamPrologue());
-  Batch batch;
-  batch.seq = open_stream_->batch_seq;
-  batch.objects_total = 1;
-  batch.open = true;
-  {
-    std::lock_guard<std::mutex> lock(window_mu_);
-    batches_.push_back(std::move(batch));
-  }
-  batches_inflight_.fetch_add(1, std::memory_order_release);
-  stats_.streams_opened.Add();
-}
-
-void CommitPipeline::SealSegment(std::size_t take, std::uint64_t now_us) {
-  // Coalesce within the segment only (last write to a page wins, as in
-  // FormBatch); a page rewritten in a *later* segment of the same stream
-  // survives twice, and recovery's in-order apply makes the later copy
-  // win — same end state, slightly more bytes.
-  coalesce_.Begin(take);
-  for (std::size_t i = 0; i < take; ++i) {
-    const WalWrite& w = staged_[i].write;
-    coalesce_.Upsert(w.file, w.offset, static_cast<std::uint32_t>(i));
-  }
-  survivors_.clear();
-  coalesce_.ForEach(
-      [&](std::string_view file, std::uint64_t offset, std::uint32_t index) {
-        survivors_.push_back({file, offset, index});
-      });
-  std::sort(survivors_.begin(), survivors_.end(),
-            [](const SurvivorRef& a, const SurvivorRef& b) {
-              if (a.file != b.file) return a.file < b.file;
-              return a.offset < b.offset;
-            });
-
-  UploadJob job;
-  job.kind = UploadJob::Kind::kStreamSegment;
-  job.batch_seq = open_stream_->batch_seq;
-  job.session = open_stream_->session;
-  job.seg_index = open_stream_->next_seg;
-  job.nonce =
-      kStreamNonceTag | (open_stream_->ts << 16) | open_stream_->next_seg;
-  job.ts = open_stream_->ts;
-  job.stream_open_us = open_stream_->opened_us;
-  job.close_us = now_us;
-
-  Lsn seg_lsn = 0;
-  for (const SurvivorRef& s : survivors_) {
-    Slot& slot = staged_[s.index];
-    const std::string_view file = names_.Intern(s.file);
-    seg_lsn = std::max(seg_lsn, slot.write.max_lsn);
-    open_stream_->logical_bytes += slot.write.data.size();
-    job.entries.push_back({file, slot.write.offset, View(slot.write.data)});
-    job.data.push_back(std::move(slot.write.data));
-  }
-  if (open_stream_->next_seg == 0) {
-    open_stream_->first_file = std::string(survivors_.front().file);
-    open_stream_->first_offset = survivors_.front().offset;
-  }
-  open_stream_->max_lsn = std::max(open_stream_->max_lsn, seg_lsn);
-  job.seg_max_lsn = open_stream_->max_lsn;  // cumulative: monotone in seg
-
-  if (Tracing()) {
-    for (std::size_t k = 0; k < take; ++k) {
-      if (!staged_[k].traced) continue;
-      tracer_->Record(TraceStage::kBatchClose, staged_[k].seq,
-                      staged_[k].staged_us,
-                      now_us >= staged_[k].staged_us
-                          ? now_us - staged_[k].staged_us
-                          : 0);
-      if (open_stream_->trace_seq == kNoTrace) {
-        open_stream_->trace_seq = staged_[k].seq;
-      }
-    }
-  }
-  job.trace_seq = open_stream_->trace_seq;
-
-  {
-    std::lock_guard<std::mutex> lock(window_mu_);
-    for (auto it = batches_.rbegin(); it != batches_.rend(); ++it) {
-      if (it->seq != open_stream_->batch_seq) continue;
-      it->item_count += take;
-      it->seg_writes.push_back(static_cast<std::uint32_t>(take));
-      it->seg_max_lsn.push_back(job.seg_max_lsn);
-      it->seg_tail_acked.push_back(0);
-      break;
-    }
-  }
-  batched_count_.fetch_add(take, std::memory_order_release);
-  open_stream_->writes += take;
-  ++open_stream_->next_seg;
-  EnqueueUpload(std::move(job));
-  staged_.erase(staged_.begin(),
-                staged_.begin() + static_cast<std::ptrdiff_t>(take));
-}
-
-void CommitPipeline::CloseStream(std::uint64_t now_us, bool closed_full) {
-  // Only now is max_lsn final, so only now can the object be named; the
-  // session publishes under it once every part is durable.
-  WalObjectId id;
-  id.ts = open_stream_->ts;
-  id.filename = open_stream_->first_file;
-  id.offset = open_stream_->first_offset;
-  id.max_lsn = open_stream_->max_lsn;
-
-  UploadJob job;
-  job.kind = UploadJob::Kind::kStreamFinish;
-  job.batch_seq = open_stream_->batch_seq;
-  job.session = open_stream_->session;
-  job.name = id.Encode();
-  job.total_parts = open_stream_->next_seg + 1;  // + the prologue part
-  job.ts = open_stream_->ts;
-  job.seg_max_lsn = open_stream_->max_lsn;
-  job.trace_seq = open_stream_->trace_seq;
-  job.close_us = now_us;
-  job.stream_open_us = open_stream_->opened_us;
-  {
-    std::lock_guard<std::mutex> lock(window_mu_);
-    for (auto it = batches_.rbegin(); it != batches_.rend(); ++it) {
-      if (it->seq != open_stream_->batch_seq) continue;
-      it->open = false;
-      it->max_lsn = open_stream_->max_lsn;
-      break;
-    }
-  }
-  (closed_full ? stats_.batches_closed_full : stats_.batches_closed_deadline)
-      .Add();
-  EnqueueUpload(std::move(job));
-  open_stream_.reset();
   last_agg_time_us_ = now_us;
 }
 
@@ -970,9 +702,9 @@ void CommitPipeline::EnqueueUpload(UploadJob job) {
     return;
   }
   // Fleet: the DRR cost is the job's logical payload bytes — what the PUT
-  // path actually pays for. Stream-finish jobs carry no payload and weigh
-  // the minimum. Boxed because std::function requires a copyable target
-  // and the job owns the write buffers (moved, never copied).
+  // path actually pays for. Boxed because std::function requires a
+  // copyable target and the job owns the write buffers (moved, never
+  // copied).
   std::size_t cost = 0;
   for (const Bytes& d : job.data) cost += d.size();
   auto boxed = std::make_shared<UploadJob>(std::move(job));
@@ -985,14 +717,6 @@ void CommitPipeline::EnqueueUpload(UploadJob job) {
 
 void CommitPipeline::ExecuteUploadJob(UploadJob job, RetryPolicy& retry,
                                       Bytes& framing, Bytes& enveloped) {
-  if (job.kind == UploadJob::Kind::kStreamSegment) {
-    UploadStreamSegment(std::move(job), framing, enveloped);
-    return;
-  }
-  if (job.kind == UploadJob::Kind::kStreamFinish) {
-    FinishStream(std::move(job));
-    return;
-  }
   const bool traced = job.trace_seq != kNoTrace && Tracing();
   std::uint64_t t_encode = 0;
   if (traced) {
@@ -1012,7 +736,7 @@ void CommitPipeline::ExecuteUploadJob(UploadJob job, RetryPolicy& retry,
   std::uint64_t first_attempt_us = 0;
   std::uint64_t put_end_us = 0;
   Status last_status = Status::Ok();
-  buffered_inflight_puts_.fetch_add(1, std::memory_order_relaxed);
+  inflight_puts_.fetch_add(1, std::memory_order_relaxed);
   for (int attempt = 1; attempt <= retry.max_attempts(); ++attempt) {
     const std::uint64_t started = clock_->NowMicros();
     if (attempt == 1) first_attempt_us = started;
@@ -1031,7 +755,7 @@ void CommitPipeline::ExecuteUploadJob(UploadJob job, RetryPolicy& retry,
     }
     if (!SleepInterruptible(retry.NextBackoffUs(attempt))) break;
   }
-  buffered_inflight_puts_.fetch_sub(1, std::memory_order_relaxed);
+  inflight_puts_.fetch_sub(1, std::memory_order_relaxed);
   if (uploaded) {
     stats_.objects_uploaded.Add();
     stats_.bytes_uploaded.Add(enveloped.size());
@@ -1060,147 +784,6 @@ void CommitPipeline::ExecuteUploadJob(UploadJob job, RetryPolicy& retry,
   ack_queue_.ForcePut(std::move(ack));
 }
 
-void CommitPipeline::UploadStreamSegment(UploadJob job, Bytes& framing,
-                                         Bytes& enveloped) {
-  const bool traced = job.trace_seq != kNoTrace && Tracing();
-  std::uint64_t t_encode = 0;
-  if (traced) {
-    t_encode = clock_->NowMicros();
-    tracer_->Record(TraceStage::kEncodeQueue, job.trace_seq, job.close_us,
-                    t_encode >= job.close_us ? t_encode - job.close_us : 0);
-  }
-  const PayloadView payload = EncodeEntriesView(job.entries, framing);
-  stats_.object_logical_bytes.Record(static_cast<double>(payload.size()));
-  envelope_->EncodeInto(payload, job.nonce, enveloped);
-  if (traced) {
-    const std::uint64_t t_done = clock_->NowMicros();
-    tracer_->Record(TraceStage::kEncode, job.trace_seq, t_encode,
-                    t_done - t_encode);
-  }
-
-  // Bounded run-ahead: wait while the stream already has a full window of
-  // parts staged or in flight. Progress comes from stream_transfers_'
-  // workers, so polling here cannot deadlock; a failed session drains its
-  // backlog, which also releases this wait.
-  while (job.session->BacklogParts() >= config_.stream_part_window) {
-    if (killed_.load(std::memory_order_acquire)) return;
-    clock_->SleepMicros(kWindowPollUs);
-  }
-
-  // Early acks: PUT the segment's envelope as replicated tail objects. The
-  // segment's writes acknowledge once every replica lands (the unlocker
-  // still enforces the consecutive-segment rule); any failed tail simply
-  // leaves the writes to ack with the finished object instead.
-  if (config_.early_ack) {
-    const int replicas = std::max(1, config_.tail_replicas);
-    auto remaining = std::make_shared<std::atomic<int>>(replicas);
-    auto failed = std::make_shared<std::atomic<bool>>(false);
-    for (int r = 0; r < replicas; ++r) {
-      TailObjectId tid;
-      tid.ts = job.ts;
-      tid.seg = job.seg_index;
-      tid.replica = static_cast<std::uint32_t>(r);
-      tid.max_lsn = job.seg_max_lsn;
-      stream_transfers_->PutAsyncCb(
-          StreamRoute(), tid.Encode(), Bytes(enveloped),
-          [this, tid, remaining, failed, seq = job.batch_seq, traced,
-           trace_seq = job.trace_seq, close_us = job.close_us](Status st) {
-            if (st.ok()) {
-              view_->AddTail(tid);
-              stats_.tail_objects_uploaded.Add();
-              if (tid.replica == 0 && traced && Tracing()) {
-                const std::uint64_t now = clock_->NowMicros();
-                tracer_->Record(TraceStage::kTailPut, trace_seq, close_us,
-                                now >= close_us ? now - close_us : 0);
-              }
-            } else {
-              failed->store(true, std::memory_order_release);
-            }
-            if (remaining->fetch_sub(1, std::memory_order_acq_rel) == 1 &&
-                !failed->load(std::memory_order_acquire)) {
-              Ack ack;
-              ack.kind = Ack::Kind::kTailSeg;
-              ack.batch_seq = seq;
-              ack.seg_index = tid.seg;
-              ack_queue_.ForcePut(std::move(ack));
-            }
-          });
-    }
-  }
-
-  Bytes part;
-  Envelope::AppendStreamSegment(part, View(enveloped));
-  const std::uint32_t part_bytes = static_cast<std::uint32_t>(part.size());
-  const std::uint64_t submit_us = clock_->NowMicros();
-  job.session->AppendPart(
-      job.seg_index + 1, std::move(part),
-      [this, seg = job.seg_index, traced, trace_seq = job.trace_seq,
-       close_us = job.close_us, open_us = job.stream_open_us, submit_us,
-       part_bytes](Status st) {
-        // A failure here permanently fails the session; the finish
-        // callback reports it through the object ack.
-        if (!st.ok()) return;
-        const std::uint64_t now = clock_->NowMicros();
-        stats_.parts_uploaded.Add();
-        stats_.bytes_uploaded.Add(part_bytes);
-        if (adaptive_) adaptive_->RecordPutRtt(now - submit_us);
-        if (seg == 0) {
-          stats_.put_first_byte_us.Record(
-              static_cast<double>(now >= open_us ? now - open_us : 0));
-        }
-        if (traced && Tracing()) {
-          tracer_->Record(TraceStage::kPartPut, trace_seq, close_us,
-                          now >= close_us ? now - close_us : 0);
-          if (seg == 0) {
-            tracer_->Record(TraceStage::kPutFirstByte, trace_seq, open_us,
-                            now >= open_us ? now - open_us : 0);
-          }
-        }
-      });
-}
-
-void CommitPipeline::FinishStream(UploadJob job) {
-  const bool traced = job.trace_seq != kNoTrace && Tracing();
-  auto session = job.session;
-  auto done = [this, name = job.name, seq = job.batch_seq, ts = job.ts,
-               traced, trace_seq = job.trace_seq,
-               close_us = job.close_us](Status st) {
-    const std::uint64_t now = clock_->NowMicros();
-    if (st.ok()) {
-      stats_.objects_uploaded.Add();
-      if (auto id = WalObjectId::Decode(name)) view_->AddWal(*id);
-      // kPut for a streamed object covers close -> published: the part
-      // uploads overlapped the batch fill, only the tail is exposed.
-      if (traced && Tracing()) {
-        tracer_->Record(TraceStage::kPut, trace_seq, close_us,
-                        now >= close_us ? now - close_us : 0);
-      }
-      // The folded object supersedes this ts's tails; delete them in the
-      // background. A missed delete is re-swept by checkpoint GC.
-      for (const TailObjectId& tail : view_->TailsForTs(ts)) {
-        stream_transfers_->DeleteAsyncCb(StreamRoute(), tail.Encode(),
-                                         [this, tail](Status dst) {
-                                           if (!dst.ok()) return;
-                                           view_->RemoveTail(tail);
-                                           stats_.tail_objects_deleted.Add();
-                                         });
-      }
-    } else if (!killed_.load(std::memory_order_acquire)) {
-      Log(LogLevel::kError, "commit", "stream upload permanently failed",
-          {{"object", name}, {"status", st.ToString()}});
-    }
-    // Acknowledge even on failure so Stop() can complete; a failed ack
-    // freezes the recoverable frontier exactly like the buffered path.
-    Ack ack;
-    ack.batch_seq = seq;
-    ack.uploaded = st.ok();
-    ack.trace_seq = (traced && st.ok()) ? trace_seq : kNoTrace;
-    ack.put_end_us = now;
-    ack_queue_.ForcePut(std::move(ack));
-  };
-  session->Finish(job.total_parts, std::move(job.name), std::move(done));
-}
-
 void CommitPipeline::UnlockerLoop() {
   while (auto ack = ack_queue_.Take()) {
     const std::uint64_t now = clock_->NowMicros();
@@ -1209,35 +792,19 @@ void CommitPipeline::UnlockerLoop() {
     std::uint64_t completed = 0;
     {
       std::lock_guard<std::mutex> lock(window_mu_);
-      if (ack->kind == Ack::Kind::kObject) {
-        if (!ack->uploaded) frontier_broken_.store(true);
-        for (auto& batch : batches_) {
-          if (batch.seq == ack->batch_seq) {
-            ++batch.objects_acked;
-            break;
-          }
-        }
-      } else {
-        // kTailSeg: the segment's tail objects all landed. A tail ack for
-        // an already-retired batch (its object finished first) finds
-        // nothing and is dropped.
-        for (auto& batch : batches_) {
-          if (batch.seq == ack->batch_seq) {
-            if (ack->seg_index < batch.seg_tail_acked.size()) {
-              batch.seg_tail_acked[ack->seg_index] = 1;
-            }
-            break;
-          }
+      if (!ack->uploaded) frontier_broken_.store(true);
+      for (auto& batch : batches_) {
+        if (batch.seq == ack->batch_seq) {
+          ++batch.objects_acked;
+          break;
         }
       }
       // Remove completed batches from the head only — this is the
       // consecutive-timestamp rule that bounds loss to S despite parallel
-      // out-of-order uploads (Alg. 2 lines 19-22). A streamed batch never
-      // retires while its stream is still open.
-      while (!batches_.empty() && !batches_.front().open &&
+      // out-of-order uploads (Alg. 2 lines 19-22).
+      while (!batches_.empty() &&
              batches_.front().objects_acked >= batches_.front().objects_total) {
-        const std::size_t n =
-            batches_.front().item_count - batches_.front().writes_completed;
+        const std::size_t n = batches_.front().item_count;
         assert(pending_times_.size() >= n);
         for (std::size_t i = 0; i < n; ++i) {
           stats_.commit_latency_us.Record(
@@ -1254,43 +821,7 @@ void CommitPipeline::UnlockerLoop() {
           advanced = true;
         }
         batches_.pop_front();
-        batches_inflight_.fetch_sub(1, std::memory_order_release);
         stats_.batches_uploaded.Add();
-      }
-      // Early acks retire the *head* batch's dense acked-segment prefix
-      // before its object finishes. Head-only and prefix-only, so this is
-      // still the consecutive rule — the loss bound S is untouched, acks
-      // just arrive a finish round-trip sooner. The frontier may advance
-      // to the prefix's cumulative max_lsn: those segments are recoverable
-      // from their tail objects.
-      if (config_.early_ack && !batches_.empty()) {
-        Batch& head = batches_.front();
-        while (head.tail_prefix < head.seg_tail_acked.size() &&
-               head.seg_tail_acked[head.tail_prefix]) {
-          ++head.tail_prefix;
-        }
-        std::size_t prefix_writes = 0;
-        for (std::uint32_t s = 0; s < head.tail_prefix; ++s) {
-          prefix_writes += head.seg_writes[s];
-        }
-        if (prefix_writes > head.writes_completed) {
-          const std::size_t n = prefix_writes - head.writes_completed;
-          assert(pending_times_.size() >= n);
-          for (std::size_t i = 0; i < n; ++i) {
-            stats_.commit_latency_us.Record(
-                static_cast<double>(now - pending_times_.front()));
-            pending_times_.pop_front();
-          }
-          head.writes_completed = prefix_writes;
-          completed += n;
-          stats_.writes_early_acked.Add(n);
-          if (!frontier_broken_.load() &&
-              head.seg_max_lsn[head.tail_prefix - 1] > frontier_lsn_.load()) {
-            frontier_lsn_.store(head.seg_max_lsn[head.tail_prefix - 1],
-                                std::memory_order_release);
-            advanced = true;
-          }
-        }
       }
       oldest_pending_us_.store(
           pending_times_.empty() ? kNoOldest : pending_times_.front(),

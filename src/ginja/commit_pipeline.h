@@ -67,16 +67,7 @@ struct CommitPipelineStats {
   Counter upload_retries;
   Counter batches_closed_full;     // batches closed because B writes were ready
   Counter batches_closed_deadline; // batches closed by TB / adaptive deadline
-  // Streaming commit path (all zero when streaming_commit is off).
-  Counter streams_opened;          // streamed WAL objects begun
-  Counter parts_uploaded;          // stream segments durably appended
-  Counter tail_objects_uploaded;   // early-ack WALTAIL/ PUTs (all replicas)
-  Counter tail_objects_deleted;    // tails deleted after their object folded
-  Counter writes_early_acked;      // writes acknowledged via tails
   Meter object_logical_bytes;      // pre-envelope object sizes
-  // Stream open to the first data segment being durable (model-time us):
-  // how long until the first byte of a batch is recoverable.
-  Histogram put_first_byte_us;
   // Per-write commit latency in model-time microseconds: Submit enqueue to
   // the write's batch being fully acknowledged by the cloud. Quantiles via
   // commit_latency_us.Snapshot().
@@ -107,13 +98,10 @@ class AdaptiveBatchController {
   // Writes drained by the aggregator this round; call with count == 0 too,
   // so the rate estimate decays while the pipeline idles.
   void RecordArrivals(std::size_t count, std::uint64_t now_us);
-  // Upload-pipe state, sampled by the aggregator each pass: PUTs (or stream
-  // parts) currently in flight and, for the streaming path, how full the
-  // part window is (backlog / window, >= 1.0 means the uploader is stalled
-  // on backpressure). An idle pipe closes immediately; a saturated window
-  // stretches the deadline so segments grow instead of queueing. Never
-  // calling this (sentinel -1) preserves the original deadline rule.
-  void NoteUploadState(int inflight_puts, double window_occupancy);
+  // Upload-pipe state, sampled by the aggregator each pass: PUTs currently
+  // in flight. An idle pipe closes immediately. Never calling this
+  // (sentinel -1) preserves the original deadline rule.
+  void NoteUploadState(int inflight_puts);
 
   // Micros since the last batch closed after which a partial batch ships;
   // always <= TB. 0 = close as soon as anything is pending (also the cold
@@ -139,7 +127,6 @@ class AdaptiveBatchController {
 
   // Fed by NoteUploadState; -1 until the pipeline first reports.
   std::atomic<int> inflight_{-1};
-  std::atomic<double> occupancy_{0.0};
 };
 
 class CommitPipeline {
@@ -200,31 +187,13 @@ class CommitPipeline {
   };
   struct Batch {
     std::uint64_t seq = 0;
-    std::size_t item_count = 0;       // writes covered (grows while open)
+    std::size_t item_count = 0;       // writes covered
     std::size_t objects_total = 0;
     std::size_t objects_acked = 0;
     Lsn max_lsn = 0;                  // frontier value once fully acked
-    // Streaming fields (window_mu_). A streamed batch is `open` from stream
-    // open to stream close: the unlocker must not retire it while open even
-    // if every object so far has acked. Each sealed segment appends one
-    // entry to seg_writes (writes it carries) and seg_max_lsn (cumulative
-    // max over segments 0..i); seg_tail_acked marks segments whose tail
-    // objects all landed. tail_prefix is the dense acked-segment prefix,
-    // writes_completed the writes already retired early through it.
-    bool open = false;
-    std::size_t writes_completed = 0;
-    std::vector<std::uint32_t> seg_writes;
-    std::vector<Lsn> seg_max_lsn;
-    std::vector<char> seg_tail_acked;
-    std::uint32_t tail_prefix = 0;
   };
+  // One WAL object: envelope + one blocking PUT.
   struct UploadJob {
-    // kObject is the buffered path: envelope + one blocking PUT. A streamed
-    // batch instead emits one kStreamSegment job per sealed segment
-    // (envelope + AppendPart, plus tail PUTs under early_ack) and a final
-    // kStreamFinish job that publishes the object under its name.
-    enum class Kind { kObject, kStreamSegment, kStreamFinish };
-    Kind kind = Kind::kObject;
     std::uint64_t batch_seq = 0;
     std::string name;
     // Entries travel unencoded and borrowed: each ref points at one of the
@@ -239,21 +208,10 @@ class CommitPipeline {
     // the batch-close time, the kEncodeQueue span's start.
     std::uint64_t trace_seq = kNoTrace;
     std::uint64_t close_us = 0;
-    // Streaming jobs only.
-    StreamSessionPtr session;
-    std::uint32_t seg_index = 0;     // kStreamSegment: 0-based segment
-    std::uint32_t total_parts = 0;   // kStreamFinish: prologue + segments
-    std::uint64_t ts = 0;            // the WAL object's timestamp
-    Lsn seg_max_lsn = 0;             // cumulative max over segments 0..seg
-    std::uint64_t stream_open_us = 0;
   };
+  // Acknowledges one uploaded (or permanently failed) object.
   struct Ack {
-    // kTailSeg acknowledges one segment's tail objects (early ack);
-    // kObject acknowledges a whole uploaded object.
-    enum class Kind { kObject, kTailSeg };
-    Kind kind = Kind::kObject;
     std::uint64_t batch_seq = 0;
-    std::uint32_t seg_index = 0;   // kTailSeg only
     bool uploaded = false;
     std::uint64_t trace_seq = kNoTrace;
     std::uint64_t put_end_us = 0;  // kAck span start
@@ -268,14 +226,11 @@ class CommitPipeline {
   // queue, weighted by the job's logical bytes) when config_.runtime is
   // set.
   void EnqueueUpload(UploadJob job);
-  // One upload job end to end (encode → PUT/stream op → ack); the body the
+  // One upload job end to end (encode → PUT → ack); the body the
   // standalone UploaderLoop runs per job and the fleet scheduler runs on a
   // shared worker. `retry` must be thread-safe when shared across workers.
   void ExecuteUploadJob(UploadJob job, RetryPolicy& retry, Bytes& framing,
                         Bytes& enveloped);
-  // Route for operations on the (possibly shared) stream transfer manager:
-  // always this pipeline's store, billed to account_ in fleet mode.
-  TransferRoute StreamRoute() const { return {store_, account_}; }
 
   // Alg. 2's blocking predicate over the sequencer counters (lock-free).
   bool ShouldBlock(std::uint64_t now_us) const;
@@ -288,15 +243,6 @@ class CommitPipeline {
   void PlaceInReorder(Slot slot);
   void GrowReorder(std::uint64_t seq);
   void FormBatch(std::size_t take, std::uint64_t now_us, bool closed_full);
-  // Streaming aggregator: seals ready segments into upload jobs, opening
-  // and closing streams as the B / size / deadline rules dictate.
-  void StreamPass(std::uint64_t now_us, bool stop_flush);
-  void OpenStream(std::uint64_t now_us);
-  void SealSegment(std::size_t take, std::uint64_t now_us);
-  void CloseStream(std::uint64_t now_us, bool closed_full);
-  // Uploader-side handlers for the streaming job kinds.
-  void UploadStreamSegment(UploadJob job, Bytes& framing, Bytes& enveloped);
-  void FinishStream(UploadJob job);
   // Sleeps model-time micros in slices, aborting on Kill(); false if killed.
   bool SleepInterruptible(std::uint64_t micros);
 
@@ -352,10 +298,6 @@ class CommitPipeline {
 
   std::atomic<bool> stopping_{false};
   std::atomic<bool> killed_{false};
-  // Set when Stop() ran to completion: the destructor then lets the stream
-  // transfer pool drain its queued folded-tail deletes instead of Kill()
-  // cancelling them.
-  std::atomic<bool> stopped_clean_{false};
 
   std::mutex block_mu_;                 // protects nothing: CV discipline only
   std::condition_variable unblock_cv_;  // woken on batch completion / kill
@@ -387,32 +329,10 @@ class CommitPipeline {
   std::uint64_t next_batch_seq_ = 0;
   std::unique_ptr<AdaptiveBatchController> adaptive_;  // null unless enabled
 
-  // The stream currently filling (streaming_commit only; aggregator-private).
-  // One stream == one batch == one WAL object; closed streams keep uploading
-  // through their session while the next stream fills.
-  struct OpenStreamState {
-    StreamSessionPtr session;
-    std::uint64_t ts = 0;
-    std::uint64_t batch_seq = 0;
-    std::uint32_t next_seg = 0;     // segments sealed so far
-    std::size_t writes = 0;         // writes sealed into segments
-    std::size_t logical_bytes = 0;  // pre-envelope payload bytes so far
-    std::string first_file;         // name fields of the eventual WAL object
-    std::uint64_t first_offset = 0;
-    Lsn max_lsn = 0;                // cumulative over sealed segments
-    std::uint64_t opened_us = 0;
-    std::uint64_t trace_seq = kNoTrace;  // first sampled write in the stream
-  };
-  std::unique_ptr<OpenStreamState> open_stream_;
-
   // -- pending window (aggregator registers, unlocker retires) ---------------
   mutable std::mutex window_mu_;
   std::deque<Batch> batches_;                 // in seq order
   std::deque<std::uint64_t> pending_times_;   // enqueue times, seq order
-  // Mirrors batches_.size() so Stop() can wait for every batch's object to
-  // publish (early acks retire *writes* before the object lands) without
-  // taking window_mu_ under block_mu_.
-  std::atomic<std::size_t> batches_inflight_{0};
 
   BlockingQueue<UploadJob> upload_queue_;
   BlockingQueue<Ack> ack_queue_;
@@ -428,31 +348,17 @@ class CommitPipeline {
   // pipeline runs unobserved.
   WriteTracer* tracer_ = nullptr;
 
-  // Buffered-path PUTs currently inside the retry loop, feeding
+  // PUTs currently inside the retry loop, feeding
   // AdaptiveBatchController::NoteUploadState.
-  std::atomic<int> buffered_inflight_puts_{0};
+  std::atomic<int> inflight_puts_{0};
 
   // -- fleet mode (config_.runtime set) --------------------------------------
   // This tenant's queue in the shared DRR upload scheduler; null when
   // standalone (private uploader threads) or after deregistration.
   UploadScheduler::Tenant* sched_tenant_ = nullptr;
-  // Billing/cancellation scope for this pipeline's operations on the
-  // shared TransferManager: Kill() cancels the account (not the manager,
-  // which serves other tenants), the destructor WaitIdle()s it so no
-  // callback referencing this pipeline survives destruction.
-  TransferAccountPtr account_;
   // Shared retry schedule for fleet upload jobs (thread-safe); standalone
   // uploaders keep their per-thread decorrelated policies.
   std::unique_ptr<RetryPolicy> fleet_retry_;
-
-  // Drives streamed part appends, tail PUTs, and superseded-tail deletes
-  // (streaming_commit only, else null). Standalone it is privately owned
-  // and declared LAST: destroyed first, its destructor joining the workers
-  // before anything its callbacks reference goes away; Stop() lets it
-  // drain, Kill() cancels it. In fleet mode it aliases the runtime's
-  // shared manager — the destructor instead quiesces via
-  // account_->WaitIdle(), and Kill() cancels only the account.
-  std::shared_ptr<TransferManager> stream_transfers_;
 };
 
 }  // namespace ginja

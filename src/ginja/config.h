@@ -44,32 +44,6 @@ struct GinjaConfig {
   bool adaptive_batching = false;
   // Objects are split at this size to optimise upload latency (§5.2 fn. 3).
   std::size_t max_object_bytes = 20 * 1024 * 1024;
-  // Streaming commit path: WAL objects leave the machine part by part
-  // while the batch is still filling (store-side streamed PUT), instead of
-  // one buffered PUT at batch close. Encoding and upload overlap, so the
-  // close-to-ack tail is roughly one finish round-trip instead of a full
-  // object PUT. Off by default; the buffered path is byte-identical to
-  // previous releases.
-  bool streaming_commit = false;
-  // Writes per streamed segment: the aggregator seals and uploads a
-  // segment once this many staged writes accumulate (a deadline or stop
-  // flushes a partial segment). Smaller segments start the upload sooner
-  // but cost more per-part requests.
-  std::size_t stream_segment_writes = 16;
-  // Max parts staged-or-in-flight per stream before the uploader waits —
-  // bounds producer run-ahead and the memory pinned per open stream.
-  std::size_t stream_part_window = 8;
-  // Early acks (streaming only): each uploaded segment is also PUT as a
-  // small replicated tail object (WALTAIL/...), and its writes are
-  // acknowledged as soon as the tails land — before the enclosing WAL
-  // object finishes. Tails are folded into the WAL object at stream close
-  // and deleted. Consecutive-ack semantics are preserved: a segment acks
-  // only when all earlier segments of the batch have acked.
-  bool early_ack = false;
-  // Tail-object replicas per segment when early_ack is on. >1 emulates
-  // the BtrLog-style replicated small-write path; every replica must land
-  // before the segment acks.
-  int tail_replicas = 1;
   // Retry policy (model time) for failed cloud operations: jittered
   // exponential backoff starting at retry_backoff_us, multiplied per
   // attempt up to retry_backoff_max_us. One RetryPolicy schedule is shared
@@ -124,7 +98,7 @@ struct GinjaConfig {
   // TransferManager, one CodecPool, one obs bundle). When set, this
   // instance spawns no uploader or transfer threads of its own: upload
   // jobs go to the runtime's deficit-round-robin scheduler under
-  // `tenant_id`, and checkpoint/stream/GC transfers run on the shared
+  // `tenant_id`, and checkpoint/GC transfers run on the shared
   // manager billed to a per-tenant TransferAccount. B/S/TB semantics stay
   // per-instance. Normally injected by GinjaFleet::AddTenant, which also
   // wraps the store in a TenantNamespace.
@@ -147,8 +121,8 @@ struct GinjaConfig {
 };
 
 // Sanity-checks the knobs whose zero values would make the pipelines hang
-// rather than fail: no uploader ever drains the queue, no shard ever
-// accepts a write, or the streaming aggregator never seals a segment.
+// rather than fail: no uploader ever drains the queue, or no shard ever
+// accepts a write.
 // Called by Ginja::Boot/Reboot before any thread starts, so a bad config
 // is a clear error instead of a stuck database.
 inline Status ValidateGinjaConfig(const GinjaConfig& config) {
@@ -160,11 +134,6 @@ inline Status ValidateGinjaConfig(const GinjaConfig& config) {
   if (config.submit_shards <= 0) {
     return Status::InvalidArgument(
         "submit_shards must be >= 1 (there would be no queue to submit to)");
-  }
-  if (config.stream_segment_writes == 0) {
-    return Status::InvalidArgument(
-        "stream_segment_writes must be >= 1 (a segment that never fills "
-        "never uploads, hanging the streaming path)");
   }
   if (config.dedup_dumps &&
       (config.dedup_chunk_bytes == 0 || config.dedup_chunk_bytes % 4096 != 0)) {

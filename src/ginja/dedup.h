@@ -84,8 +84,8 @@ struct ChunkObjectId {
 // Envelope nonce for a chunk object, derived from the content digest
 // (convergent encryption; header comment). Tagged with top byte 0x51 —
 // bit 63 clear — which is disjoint from every other nonce subspace: WAL
-// objects use their (small) ts, DB parts (1<<63)|(seq<<16)|part, stream
-// segments 0xE5<<56, and the failover meta space 0xF0F0<<48. Nonce
+// objects use their (small) ts, DB parts (1<<63)|(seq<<16)|part, and the
+// failover meta space 0xF0F0<<48. Nonce
 // collisions between distinct chunks are harmless because each chunk also
 // gets its own derived AES key (header comment); the nonce only needs to
 // keep the *shared-key* subspaces apart.

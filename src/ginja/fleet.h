@@ -39,7 +39,7 @@ class GinjaFleet {
     std::string id;
     VfsPtr local_vfs;
     DbLayout layout;
-    // The tenant's personality (B/S/TB, streaming, envelope, ...). The
+    // The tenant's personality (B/S/TB, envelope, dedup, ...). The
     // fleet overwrites `runtime`, `tenant_id`, and (when unset) `obs`.
     GinjaConfig config;
     // Optional per-tenant store stack on top of the namespaced view —

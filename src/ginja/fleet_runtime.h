@@ -11,7 +11,7 @@
 //     per-tenant FIFO queues so a hot tenant cannot monopolize the PUT
 //     path and starve another tenant's S bound;
 //   * TransferManager — one worker pool / one global in-flight window for
-//     stream parts, checkpoint parts, recovery GETs, and GC DELETEs, with
+//     checkpoint parts, recovery GETs, and GC DELETEs, with
 //     per-tenant TransferAccounts for attribution and scoped cancel;
 //   * CodecPool — one set of codec workers for envelope encoding;
 //   * Observability — one registry; tenants label their series tenant=<id>.
@@ -165,8 +165,8 @@ class FleetRuntime {
     // Uploader threads shared by all tenants' commit pipelines.
     int uploader_threads = 8;
     std::size_t drr_quantum_bytes = 256 * 1024;
-    // Shared TransferManager concurrency (stream parts, checkpoint parts,
-    // GC deletes, recovery GETs — the global in-flight window).
+    // Shared TransferManager concurrency (checkpoint parts, GC deletes,
+    // recovery GETs — the global in-flight window).
     int transfer_concurrency = 16;
     // Retry schedule for the shared manager.
     TransferOptions transfer;

@@ -6,6 +6,7 @@
 #include <map>
 
 #include "common/codec/codec_pool.h"
+#include "db/wal.h"
 #include "ginja/fleet_runtime.h"
 #include "ginja/payload.h"
 #include "obs/log.h"
@@ -72,20 +73,30 @@ Status Ginja::Boot() {
   auto files = local_vfs_->ListFiles("");
   if (!files.ok()) return files.status();
 
-  // Read the control block (if any) for a conservative max-LSN bound on the
-  // circular-log segments, whose internal LSN ranges Boot cannot cheaply
-  // order. PostgreSQL segments get precise per-segment bounds.
-  Lsn wal_end_hint = 0;
+  // The WAL end at boot bounds every boot object's max_lsn: nothing past
+  // it was written yet. The control block's hint is only refreshed at
+  // checkpoints, so scan from the newest checkpoint to the true end, as
+  // the engine's own redo does. A bound past the end would let checkpoint
+  // GC delete the later WAL objects while keeping the boot object, and
+  // recovery would stop at the resulting ts gap.
+  Lsn redo_start = 0;
+  std::uint64_t newest_counter = 0;
   for (int slot = 0; slot < layout_.ControlSlotCount(); ++slot) {
     auto bytes = local_vfs_->Read(layout_.ControlFileName(),
                                   layout_.ControlOffset(slot),
                                   ControlBlock::kEncodedSize);
     if (!bytes.ok()) continue;
     ControlBlock block;
-    if (ControlBlock::Decode(bytes->data(), bytes->size(), &block)) {
-      wal_end_hint = std::max(wal_end_hint, block.wal_end_hint);
+    if (ControlBlock::Decode(bytes->data(), bytes->size(), &block) &&
+        block.counter >= newest_counter) {
+      newest_counter = block.counter;
+      redo_start = block.checkpoint_lsn;
     }
   }
+  auto scanned_end = WalReader(local_vfs_, layout_)
+                         .Replay(redo_start, [](const WalRecord&) {});
+  if (!scanned_end.ok()) return scanned_end.status();
+  const Lsn wal_end = *scanned_end;
 
   std::vector<std::string> wal_files;
   for (const auto& path : *files) {
@@ -104,14 +115,17 @@ Status Ginja::Boot() {
     id.ts = view_->NextWalTs();
     id.filename = path;
     id.offset = 0;
-    id.max_lsn = wal_end_hint;
+    // Circular-log segments have internal LSN ranges Boot cannot cheaply
+    // order; the WAL end is their conservative bound.
+    id.max_lsn = wal_end;
     if (layout_.flavor == DbFlavor::kPostgres) {
-      // Precise bound: segment i covers stream bytes < (i+1) pages' worth.
+      // Segment i covers stream bytes < (i+1) segments' worth of payload.
       // Segment order is lexicographic order for our generated names.
       const std::uint64_t seg_index =
           static_cast<std::uint64_t>(&path - wal_files.data());
-      id.max_lsn = (seg_index + 1) * layout_.PagesPerSegment() *
-                   layout_.WalPayloadSize();
+      id.max_lsn = std::min<Lsn>(wal_end, (seg_index + 1) *
+                                              layout_.PagesPerSegment() *
+                                              layout_.WalPayloadSize());
     }
 
     std::vector<FileEntry> entries;

@@ -77,29 +77,6 @@ std::optional<WalObjectId> WalObjectId::Decode(std::string_view name) {
   return out;
 }
 
-std::string TailObjectId::Encode() const {
-  return "WALTAIL/" + std::to_string(ts) + "_" + std::to_string(seg) + "_" +
-         std::to_string(replica) + "_" + std::to_string(max_lsn);
-}
-
-std::optional<TailObjectId> TailObjectId::Decode(std::string_view name) {
-  if (!name.starts_with("WALTAIL/")) return std::nullopt;
-  name.remove_prefix(8);
-  const auto fields = RSplit(name, '_', 3);  // [maxlsn, replica, seg, ts]
-  if (fields.size() != 4) return std::nullopt;
-  const auto max_lsn = ParseU64(fields[0]);
-  const auto replica = ParseU64(fields[1]);
-  const auto seg = ParseU64(fields[2]);
-  const auto ts = ParseU64(fields[3]);
-  if (!max_lsn || !replica || !seg || !ts) return std::nullopt;
-  TailObjectId out;
-  out.ts = *ts;
-  out.seg = static_cast<std::uint32_t>(*seg);
-  out.replica = static_cast<std::uint32_t>(*replica);
-  out.max_lsn = *max_lsn;
-  return out;
-}
-
 std::string DbObjectId::Encode() const {
   return "DB/" + std::to_string(ts) + "_" +
          std::string(type == DbObjectType::kDump       ? "dump"

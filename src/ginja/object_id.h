@@ -44,25 +44,6 @@ struct WalObjectId {
   static std::optional<WalObjectId> Decode(std::string_view name);
 };
 
-// Early-ack tail object (streaming commit path): one already-enveloped
-// stream segment of an in-progress WAL object, PUT per replica as soon as
-// the segment seals so its writes can acknowledge before the enclosing
-// object finishes. `max_lsn` is the exclusive end of the WAL-stream range
-// covered by segments 0..seg of that batch (cumulative, so monotone in
-// seg), which makes GC of superseded tails a seg-prefix — recovery can
-// rely on the surviving tails of a ts being a dense suffix-run.
-//
-//   WALTAIL/<ts>_<seg>_<replica>_<maxlsn>
-struct TailObjectId {
-  std::uint64_t ts = 0;       // the enclosing WAL object's ts
-  std::uint32_t seg = 0;      // 0-based segment index within the stream
-  std::uint32_t replica = 0;  // 0-based tail replica
-  std::uint64_t max_lsn = 0;  // exclusive end covered by segments 0..seg
-
-  std::string Encode() const;
-  static std::optional<TailObjectId> Decode(std::string_view name);
-};
-
 // kManifest is the delta-dump form of kDump (see ginja/dedup.h): a
 // single-part DB object whose payload lists CHUNK/ references instead of
 // file contents. Its `size` field carries the *logical* database bytes the

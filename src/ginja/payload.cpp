@@ -58,35 +58,33 @@ PayloadView EncodeEntriesView(const std::vector<FileEntryRef>& entries,
 
 Result<std::vector<FileEntry>> DecodeEntries(ByteView payload) {
   std::size_t pos = 0;
+  const auto count = GetVarint(payload, pos);
+  if (!count) return Status::Corruption("entry count truncated");
   std::vector<FileEntry> out;
-  // A streamed object's payload is several count-prefixed lists back to
-  // back (one per segment); keep parsing until the buffer is exhausted.
-  // At least one run is required — an empty payload is corrupt.
-  do {
-    const auto count = GetVarint(payload, pos);
-    if (!count) return Status::Corruption("entry count truncated");
-    out.reserve(out.size() + *count);
-    for (std::uint64_t i = 0; i < *count; ++i) {
-      FileEntry e;
-      const auto path_len = GetVarint(payload, pos);
-      if (!path_len || pos + *path_len > payload.size()) {
-        return Status::Corruption("entry path truncated");
-      }
-      e.path.assign(reinterpret_cast<const char*>(payload.data() + pos), *path_len);
-      pos += *path_len;
-      const auto offset = GetVarint(payload, pos);
-      if (!offset) return Status::Corruption("entry offset truncated");
-      e.offset = *offset;
-      const auto data_len = GetVarint(payload, pos);
-      if (!data_len || pos + *data_len > payload.size()) {
-        return Status::Corruption("entry data truncated");
-      }
-      e.data.assign(payload.begin() + static_cast<long>(pos),
-                    payload.begin() + static_cast<long>(pos + *data_len));
-      pos += *data_len;
-      out.push_back(std::move(e));
+  out.reserve(*count);
+  for (std::uint64_t i = 0; i < *count; ++i) {
+    FileEntry e;
+    const auto path_len = GetVarint(payload, pos);
+    if (!path_len || pos + *path_len > payload.size()) {
+      return Status::Corruption("entry path truncated");
     }
-  } while (pos < payload.size());
+    e.path.assign(reinterpret_cast<const char*>(payload.data() + pos), *path_len);
+    pos += *path_len;
+    const auto offset = GetVarint(payload, pos);
+    if (!offset) return Status::Corruption("entry offset truncated");
+    e.offset = *offset;
+    const auto data_len = GetVarint(payload, pos);
+    if (!data_len || pos + *data_len > payload.size()) {
+      return Status::Corruption("entry data truncated");
+    }
+    e.data.assign(payload.begin() + static_cast<long>(pos),
+                  payload.begin() + static_cast<long>(pos + *data_len));
+    pos += *data_len;
+    out.push_back(std::move(e));
+  }
+  if (pos != payload.size()) {
+    return Status::Corruption("trailing bytes after entry list");
+  }
   return out;
 }
 

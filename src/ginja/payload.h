@@ -40,10 +40,7 @@ Bytes EncodeEntries(const std::vector<FileEntry>& entries);
 PayloadView EncodeEntriesView(const std::vector<FileEntryRef>& entries,
                               Bytes& framing);
 
-// Accepts one count-prefixed entry list, or several back to back: a
-// streamed (GNJ3) WAL object decodes to its segments' payloads
-// concatenated, each a self-contained list. Entries are returned in
-// byte order, so later segments' rewrites stay last-write-wins.
+// Parses one count-prefixed entry list; bytes past its end are corrupt.
 Result<std::vector<FileEntry>> DecodeEntries(ByteView payload);
 
 }  // namespace ginja

@@ -18,7 +18,6 @@ void MergeReport(RecoveryReport* into, const RecoveryReport& r) {
   into->objects_downloaded += r.objects_downloaded;
   into->bytes_downloaded += r.bytes_downloaded;
   into->wal_objects_applied += r.wal_objects_applied;
-  into->tail_segments_applied += r.tail_segments_applied;
   into->db_objects_applied += r.db_objects_applied;
   into->files_written += r.files_written;
   into->chunks_downloaded += r.chunks_downloaded;
@@ -207,31 +206,18 @@ Status StandbyReplica::ApplyItems(const std::vector<TailPlanItem>& items,
   objects_applied_.Add(applied.items_applied);
   *progressed += applied.items_applied;
   // Advance the frontier over the applied prefix.
-  for (std::size_t i = 0; i < applied.items_applied; ++i) {
-    const TailPlanItem& item = items[i];
-    if (item.is_tail) {
-      if (auto id = TailObjectId::Decode(item.name)) {
-        tail_seg_cursor_ = id->seg + 1;
-      }
-      next_ts_.store(item.wal_ts, std::memory_order_release);
-    } else {
-      next_ts_.store(item.wal_ts + 1, std::memory_order_release);
-      tail_seg_cursor_ = 0;
-    }
+  if (applied.items_applied > 0) {
+    next_ts_.store(items[applied.items_applied - 1].wal_ts + 1,
+                   std::memory_order_release);
   }
   if (!applied.db_failure.ok()) return applied.db_failure;
-  if (applied.wal_truncated && applied.items_applied < items.size()) {
-    const TailPlanItem& failed = items[applied.items_applied];
-    if (!failed.is_tail &&
-        applied.wal_failure.code() == ErrorCode::kNotFound) {
-      // The frontier WAL object vanished between LIST and GET: garbage
-      // collection raced past the tail. Only a full re-list (which picks
-      // up the covering checkpoint) can move forward.
-      resync_needed_ = true;
-    }
-    // A vanished *tail* object is the stream-close fold: the finished WAL
-    // object supersedes it and the next poll applies that instead. Other
-    // failures are transient; the next poll retries from the frontier.
+  if (applied.wal_truncated && applied.items_applied < items.size() &&
+      applied.wal_failure.code() == ErrorCode::kNotFound) {
+    // The frontier WAL object vanished between LIST and GET: garbage
+    // collection raced past the tail. Only a full re-list (which picks up
+    // the covering checkpoint) can move forward. Other failures are
+    // transient; the next poll retries from the frontier.
+    resync_needed_ = true;
   }
   return Status::Ok();
 }
@@ -262,22 +248,6 @@ Status StandbyReplica::PollOnce(std::size_t* progressed) {
   }
   GINJA_RETURN_IF_ERROR(ApplyItems(items, progressed));
 
-  // Early-ack streaming: the acked segment prefix of the (unfinished)
-  // frontier object is applied as it grows, keeping lag sub-batch.
-  const std::uint64_t frontier = next_ts_.load(std::memory_order_acquire);
-  if (config_.early_ack && !resync_needed_ &&
-      (!options_.open_at_ts || frontier <= *options_.open_at_ts)) {
-    auto tails =
-        store_->List("WALTAIL/" + std::to_string(frontier) + "_");
-    if (!tails.ok()) return tails.status();
-    std::map<std::uint32_t, std::vector<TailObjectId>> segs;
-    for (const auto& meta : *tails) {
-      auto id = TailObjectId::Decode(meta.name);
-      if (id && id->ts == frontier) segs[id->seg].push_back(*id);
-    }
-    GINJA_RETURN_IF_ERROR(ApplyItems(
-        BuildTailSegmentItems(segs, frontier, tail_seg_cursor_), progressed));
-  }
   // On the periodic full scan, an idle pass also probes DB/ for a
   // checkpoint that folded timestamps past the frontier — the only way
   // the bucket gets ahead of the image with no WAL visible (the primary
@@ -341,14 +311,8 @@ Status StandbyReplica::Rebuild(bool bootstrap) {
   // early (an object vanished mid-build), the truncation point itself, so
   // tailing re-fetches from there instead of skipping past it.
   std::uint64_t resume_ts = plan.resume_ts;
-  std::uint32_t resume_segs = plan.resume_tail_segs;
   if (applied.wal_truncated && applied.items_applied < plan.items.size()) {
-    const TailPlanItem& failed = plan.items[applied.items_applied];
-    resume_ts = failed.wal_ts;
-    resume_segs = 0;
-    if (failed.is_tail) {
-      if (auto id = TailObjectId::Decode(failed.name)) resume_segs = id->seg;
-    }
+    resume_ts = plan.items[applied.items_applied].wal_ts;
   }
 
   {
@@ -359,7 +323,6 @@ Status StandbyReplica::Rebuild(bool bootstrap) {
   }
   objects_applied_.Add(applied.items_applied);
   next_ts_.store(resume_ts, std::memory_order_release);
-  tail_seg_cursor_ = resume_segs;
   resync_needed_ = false;
   gap_polls_ = 0;
   if (!bootstrap) {
@@ -383,7 +346,7 @@ Result<PromotionReport> StandbyReplica::Promote() {
   if (!epoch.ok()) return epoch.status();
   pr.epoch = *epoch;
   // The local token closes the heartbeat window: a FencedStore sharing it
-  // rejects the zombie's already-in-flight AppendPart/Finish immediately.
+  // rejects the zombie's already-in-flight PUTs immediately.
   if (options_.fence) options_.fence->Raise(*epoch);
 
   const RecoveryReport before = report();
@@ -430,8 +393,6 @@ Result<PromotionReport> StandbyReplica::Promote() {
   const RecoveryReport after = report();
   pr.residual_wal_objects =
       after.wal_objects_applied - before.wal_objects_applied;
-  pr.residual_tail_segments =
-      after.tail_segments_applied - before.tail_segments_applied;
   pr.resynced = resyncs() > resyncs_before;
   pr.recovered_to_ts = after.recovered_to_ts;
   // Objects remain visible past the drained frontier: the tail is truncated
@@ -443,7 +404,6 @@ Result<PromotionReport> StandbyReplica::Promote() {
       {{"epoch", pr.epoch},
        {"rto_us", pr.rto_micros},
        {"residual_wal", pr.residual_wal_objects},
-       {"residual_tails", pr.residual_tail_segments},
        {"recovered_to_ts", pr.recovered_to_ts}});
   return pr;
 }

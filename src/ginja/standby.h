@@ -10,9 +10,7 @@
 //     recovery into an empty image;
 //   * steady state: a poll loop LISTs `WAL/` with a start-after cursor (an
 //     S3 ListObjectsV2 `start-after`), so each pass costs O(new objects),
-//     applies the new consecutive-ts run, and — when the primary streams
-//     with early acks — applies the acked `WALTAIL/` segment prefix of the
-//     in-progress object too, keeping lag below one batch;
+//     and applies the new consecutive-ts run;
 //   * promotion: fence the old primary (epoch bump via ginja::Promote +
 //     an optional local FenceToken mirroring S3 conditional writes), drain
 //     the residual tail, serve. RTO is O(lag), independent of DB size.
@@ -26,10 +24,10 @@
 // is caught by the periodic full-prefix scan + resync fallback.
 //
 // Consistency: the standby applies only what recovery would apply —
-// complete part-sets, consecutive-ts WAL runs, dense acked tail prefixes —
-// so its image is at every moment *some* correct recovery point. A torn
-// checkpoint upload or a GC racing the tail can only delay it (triggering
-// a full resync into a fresh image), never corrupt it.
+// complete part-sets and consecutive-ts WAL runs — so its image is at
+// every moment *some* correct recovery point. A torn checkpoint upload or
+// a GC racing the tail can only delay it (triggering a full resync into a
+// fresh image), never corrupt it.
 //
 // Time travel: `open_at_ts` caps tailing at an arbitrary frontier, which
 // turns the standby into an incrementally-maintained point-in-time
@@ -85,7 +83,6 @@ struct PromotionReport {
   // Objects the residual drain applied after fencing (the actual lag paid
   // at promotion time).
   std::uint64_t residual_wal_objects = 0;
-  std::uint64_t residual_tail_segments = 0;
   bool resynced = false;            // the drain fell back to a full re-list
   std::uint64_t recovered_to_ts = 0;
   bool gap_detected = false;        // tail truncated: bounded S-write loss
@@ -146,8 +143,7 @@ class StandbyReplica {
 
  private:
   void TailLoop();
-  // One poll: cursor-list new WAL objects, apply the consecutive run, then
-  // (early-ack) the acked tail-segment prefix of the frontier ts.
+  // One poll: cursor-list new WAL objects and apply the consecutive run.
   // `progressed` counts plan items applied this pass.
   Status PollOnce(std::size_t* progressed);
   // Fetch+apply `items` into the current image, advancing the frontier
@@ -187,7 +183,6 @@ class StandbyReplica {
   // Tail-thread state (read by accessors/gauges, written by the tail
   // thread — and by Promote()'s drain after the thread has joined).
   std::atomic<std::uint64_t> next_ts_{0};  // WAL ts are assigned from 0
-  std::uint32_t tail_seg_cursor_ = 0;  // next unapplied WALTAIL seg of next_ts_
   // Newest WAL ts seen in any listing, stored as ts+1 (0 = none seen yet —
   // ts 0 itself is a valid timestamp).
   std::atomic<std::uint64_t> newest_seen_{0};

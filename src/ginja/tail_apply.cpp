@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <deque>
 #include <future>
+#include <map>
 
 #include "common/codec/sha1.h"
 #include "ginja/dedup.h"
@@ -15,28 +16,16 @@ TailPlan BuildTailPlan(const std::vector<ObjectMeta>& objects,
   TailPlan plan;
 
   std::vector<WalObjectId> wal_objects;
-  // ts -> seg -> replicas of that segment's tail object (streaming early
-  // acks; see CommitPipeline). Only tails of a ts with *no* full WAL
-  // object matter — the finished object supersedes its tails.
-  std::map<std::uint64_t, std::map<std::uint32_t, std::vector<TailObjectId>>>
-      tails_by_ts;
   std::map<std::uint64_t, std::vector<DbObjectId>> db_by_seq;
   for (const auto& meta : objects) {
     if (auto wal = WalObjectId::Decode(meta.name)) {
       if (!up_to_ts || wal->ts <= *up_to_ts) wal_objects.push_back(*wal);
       continue;
     }
-    if (auto tail = TailObjectId::Decode(meta.name)) {
-      if (!up_to_ts || tail->ts <= *up_to_ts) {
-        tails_by_ts[tail->ts][tail->seg].push_back(*tail);
-      }
-      continue;
-    }
     if (auto db = DbObjectId::Decode(meta.name)) {
       if (!up_to_ts || db->ts <= *up_to_ts) db_by_seq[db->seq].push_back(*db);
     }
   }
-  for (const auto& id : wal_objects) tails_by_ts.erase(id.ts);
   std::sort(wal_objects.begin(), wal_objects.end(),
             [](const WalObjectId& a, const WalObjectId& b) { return a.ts < b.ts; });
   if (!wal_objects.empty()) plan.newest_wal_ts = wal_objects.back().ts;
@@ -61,8 +50,7 @@ TailPlan BuildTailPlan(const std::vector<ObjectMeta>& objects,
     std::sort(parts.begin(), parts.end(),
               [](const DbObjectId& a, const DbObjectId& b) { return a.part < b.part; });
     for (const auto& id : parts) {
-      plan.items.push_back({id.Encode(), /*is_wal=*/false, /*is_tail=*/false,
-                            0, {},
+      plan.items.push_back({id.Encode(), /*is_wal=*/false, 0,
                             /*is_manifest=*/id.type == DbObjectType::kManifest});
       plan.last_redo_lsn = std::max(plan.last_redo_lsn, id.redo_lsn);
       folded_through_ts =
@@ -97,11 +85,10 @@ TailPlan BuildTailPlan(const std::vector<ObjectMeta>& objects,
       plan.gap_after_plan = true;
       break;
     }
-    plan.items.push_back({id.Encode(), /*is_wal=*/true, /*is_tail=*/false,
-                          id.ts, {}});
+    plan.items.push_back({id.Encode(), /*is_wal=*/true, id.ts});
     previous_ts = id.ts;
   }
-  // Tailing resumes after the last consecutive full object considered: the
+  // Tailing resumes after the last consecutive object considered: the
   // planned run's end, or — when every visible object is already covered by
   // the planned pages — after the newest visible one.
   if (previous_ts) {
@@ -119,38 +106,6 @@ TailPlan BuildTailPlan(const std::vector<ObjectMeta>& objects,
     plan.resume_ts = std::max(plan.resume_ts, *folded_through_ts + 1);
   }
 
-  // 3b. Tail objects of the next unfinished streamed WAL object (early
-  // acks): its acked segment prefix is recoverable even though the object
-  // itself never finished. The candidate ts must keep timestamps
-  // consecutive — previous_ts + 1, or the earliest un-covered tail ts when
-  // no full WAL object was planned.
-  std::optional<std::uint64_t> tail_ts;
-  for (const auto& [ts, segs] : tails_by_ts) {
-    Lsn ts_max = 0;
-    for (const auto& [seg, replicas] : segs) {
-      for (const auto& t : replicas) ts_max = std::max(ts_max, t.max_lsn);
-    }
-    if (ts_max <= plan.last_redo_lsn) continue;  // fully covered by the pages
-    if (previous_ts && ts != *previous_ts + 1) continue;
-    if (!previous_ts && plan.gap_after_plan) continue;
-    tail_ts = ts;
-    break;
-  }
-  if (tail_ts) {
-    auto tail_items = BuildTailSegmentItems(tails_by_ts[*tail_ts], *tail_ts,
-                                            /*from_seg=*/0);
-    plan.resume_ts = *tail_ts;
-    if (!tail_items.empty()) {
-      if (auto last = TailObjectId::Decode(tail_items.back().name)) {
-        plan.resume_tail_segs = last->seg + 1;
-      }
-    }
-    for (auto& item : tail_items) plan.items.push_back(std::move(item));
-    // A tails-only ts is by construction an incomplete object: the plan
-    // stops here and the truncation is reported.
-    plan.gap_after_plan = true;
-  }
-
   return plan;
 }
 
@@ -161,7 +116,7 @@ std::vector<TailPlanItem> ContinueWalPlan(
   std::vector<WalObjectId> wal_objects;
   for (const auto& meta : objects) {
     auto wal = WalObjectId::Decode(meta.name);
-    if (!wal) continue;  // a cursor listing may overlap WALTAIL/ etc.
+    if (!wal) continue;
     if (newest_ts && (!*newest_ts || wal->ts > **newest_ts)) *newest_ts = wal->ts;
     if (wal->ts < next_ts) continue;  // unpadded ts: old names can trail the cursor
     if (up_to_ts && wal->ts > *up_to_ts) continue;
@@ -173,40 +128,8 @@ std::vector<TailPlanItem> ContinueWalPlan(
   std::uint64_t expected = next_ts;
   for (const auto& id : wal_objects) {
     if (id.ts != expected) break;  // the run must stay consecutive
-    items.push_back({id.Encode(), /*is_wal=*/true, /*is_tail=*/false, id.ts, {}});
+    items.push_back({id.Encode(), /*is_wal=*/true, id.ts});
     ++expected;
-  }
-  return items;
-}
-
-std::vector<TailPlanItem> BuildTailSegmentItems(
-    const std::map<std::uint32_t, std::vector<TailObjectId>>& segs,
-    std::uint64_t ts, std::uint32_t from_seg) {
-  std::vector<TailPlanItem> items;
-  // GC only ever deletes a seg-*prefix* of tails (the cumulative max_lsn is
-  // monotone in seg), so the dense run starting at the lowest surviving
-  // segment >= from_seg is the acked prefix still worth applying; a hole
-  // ends it — what followed was never acknowledged.
-  std::optional<std::uint32_t> expected;
-  for (const auto& [seg, replicas] : segs) {
-    if (seg < from_seg) continue;
-    if (!expected) expected = seg;
-    if (seg != *expected) break;
-    ++*expected;
-    std::vector<TailObjectId> sorted = replicas;
-    std::sort(sorted.begin(), sorted.end(),
-              [](const TailObjectId& a, const TailObjectId& b) {
-                return a.replica < b.replica;
-              });
-    TailPlanItem item;
-    item.name = sorted.front().Encode();
-    item.is_wal = true;
-    item.is_tail = true;
-    item.wal_ts = ts;
-    for (std::size_t k = 1; k < sorted.size(); ++k) {
-      item.fallbacks.push_back(sorted[k].Encode());
-    }
-    items.push_back(std::move(item));
   }
   return items;
 }
@@ -310,7 +233,7 @@ TailApplyResult ApplyTailPlan(const std::vector<TailPlanItem>& plan,
     auto blob = std::move(inflight.front());
     inflight.pop_front();
     Result<Bytes> fetched = blob.get();
-    Status fetch_status = fetched.ok() ? Status::Ok() : fetched.status();
+    const Status fetch_status = fetched.ok() ? Status::Ok() : fetched.status();
     std::uint64_t t_fetched = 0;
     if (tracing) {
       const std::uint64_t issued = issue_times.front();
@@ -323,15 +246,6 @@ TailApplyResult ApplyTailPlan(const std::vector<TailPlanItem>& plan,
     }
     Status st = plan[i].is_manifest ? apply_manifest(std::move(fetched))
                                     : apply_blob(std::move(fetched));
-    if (!st.ok() && !plan[i].fallbacks.empty()) {
-      // Replica tails hold byte-identical segments; any one of them will do.
-      for (const auto& alt : plan[i].fallbacks) {
-        Result<Bytes> alt_blob = transfers.GetAsync(ctx.route, alt).get();
-        if (!alt_blob.ok()) fetch_status = alt_blob.status();
-        st = apply_blob(std::move(alt_blob));
-        if (st.ok()) break;
-      }
-    }
     if (tracing) {
       const std::uint64_t t_applied = ctx.clock->NowMicros();
       ctx.tracer->Record(ctx.apply_stage, ctx.trace_id_base + i, t_fetched,
@@ -355,11 +269,7 @@ TailApplyResult ApplyTailPlan(const std::vector<TailPlanItem>& plan,
       result.wal_failure = fetch_status.ok() ? st : fetch_status;
       return result;
     } else {
-      if (plan[i].is_tail) {
-        ++r->tail_segments_applied;
-      } else {
-        ++r->wal_objects_applied;
-      }
+      ++r->wal_objects_applied;
       r->recovered_to_ts = plan[i].wal_ts;
     }
     ++result.items_applied;

@@ -17,7 +17,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <string>
 #include <vector>
@@ -37,9 +36,6 @@ struct RecoveryReport {
   std::uint64_t objects_downloaded = 0;
   std::uint64_t bytes_downloaded = 0;   // enveloped bytes
   std::uint64_t wal_objects_applied = 0;
-  // Early-ack tail segments (WALTAIL/) applied from an unfinished streamed
-  // WAL object — the acked prefix of the batch that was in flight.
-  std::uint64_t tail_segments_applied = 0;
   std::uint64_t db_objects_applied = 0;
   std::uint64_t files_written = 0;
   // Delta-dump manifests (ginja/dedup.h): chunks fetched from the cloud vs
@@ -56,11 +52,7 @@ struct RecoveryReport {
 struct TailPlanItem {
   std::string name;
   bool is_wal = false;
-  bool is_tail = false;       // WALTAIL/ segment of an unfinished object
   std::uint64_t wal_ts = 0;
-  // Replica tails holding the same segment bytes, tried in order when
-  // the primary fails; empty for everything else.
-  std::vector<std::string> fallbacks;
   // Delta-dump manifest: the payload lists CHUNK/ references which the
   // apply loop expands into windowed chunk fetches.
   bool is_manifest = false;
@@ -69,32 +61,26 @@ struct TailPlanItem {
 struct TailPlan {
   std::vector<TailPlanItem> items;
   bool found_dump = false;
-  // True when the visible WAL tail is truncated: a ts gap past the planned
-  // run, or a tails-only (unfinished) object ending the plan.
+  // True when the visible WAL tail is truncated at a ts gap past the
+  // planned run.
   bool gap_after_plan = false;
   Lsn last_redo_lsn = 0;      // redo point of the planned DB objects
   // Newest WAL-object ts visible in the listing (planned or not); feeds
   // the standby's lag gauge.
   std::optional<std::uint64_t> newest_wal_ts;
   // Where tailing continues after this plan: the ts after the last
-  // consecutive full WAL object considered — or the unfinished streamed ts
-  // itself when the plan ends in its tail segments (more segments, or the
-  // folded object, may yet appear).
+  // consecutive WAL object considered.
   std::uint64_t resume_ts = 0;
-  // Next unapplied tail segment index of `resume_ts` (the standby resumes
-  // its per-ts segment cursor here); 0 when the plan has no tail items.
-  std::uint32_t resume_tail_segs = 0;
 };
 
 // Builds the bootstrap fetch plan from a full bucket listing: the latest
 // *complete* dump, complete checkpoints newer than it, WAL objects past the
-// planned redo LSN in consecutive-ts order, and the dense acked
-// tail-segment prefix of at most one unfinished streamed object. With
-// `up_to_ts`, only objects with ts <= the limit participate (PITR).
+// planned redo LSN in consecutive-ts order. With `up_to_ts`, only objects
+// with ts <= the limit participate (PITR).
 TailPlan BuildTailPlan(const std::vector<ObjectMeta>& objects,
                        std::optional<std::uint64_t> up_to_ts);
 
-// Incremental continuation for a tailing standby: full WAL objects with
+// Incremental continuation for a tailing standby: WAL objects with
 // ts >= next_ts out of a (cursor-)listing, in consecutive order starting
 // exactly at next_ts; stops before the first gap. `newest_ts` (optional
 // out) reports the newest WAL ts seen, applied or not, for lag tracking.
@@ -102,15 +88,6 @@ std::vector<TailPlanItem> ContinueWalPlan(
     const std::vector<ObjectMeta>& objects, std::uint64_t next_ts,
     std::optional<std::uint64_t> up_to_ts,
     std::optional<std::uint64_t>* newest_ts);
-
-// The dense acked segment run of one streamed ts, as plan items with
-// replica fallbacks. Segments below `from_seg` are skipped (already
-// applied); the run starts at from_seg or at the lowest surviving segment
-// beyond it (GC only ever deletes a seg-prefix) and ends at the first
-// hole — what followed the hole was never acknowledged.
-std::vector<TailPlanItem> BuildTailSegmentItems(
-    const std::map<std::uint32_t, std::vector<TailObjectId>>& segs,
-    std::uint64_t ts, std::uint32_t from_seg);
 
 // Everything ApplyTailPlan needs, parameterized so recovery and the warm
 // standby share one loop but trace into their own stages.
@@ -136,8 +113,8 @@ struct TailApplyResult {
   // Non-OK when a dump/checkpoint part failed — the page state would be
   // incomplete, so the whole recovery fails.
   Status db_failure = Status::Ok();
-  // A WAL object/tail failure truncates the recoverable tail (same as a
-  // gap); everything applied before it is still consistent.
+  // A WAL object failure truncates the recoverable tail (same as a gap);
+  // everything applied before it is still consistent.
   bool wal_truncated = false;
   Status wal_failure = Status::Ok();    // the status that truncated it
   std::size_t items_applied = 0;        // plan items consumed successfully

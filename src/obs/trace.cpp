@@ -40,9 +40,6 @@ const char* TraceStageName(TraceStage stage) {
     case TraceStage::kCheckpointPart: return "checkpoint_part";
     case TraceStage::kRecoveryFetch: return "recovery_fetch";
     case TraceStage::kRecoveryApply: return "recovery_apply";
-    case TraceStage::kPutFirstByte: return "put_first_byte";
-    case TraceStage::kPartPut: return "part_put";
-    case TraceStage::kTailPut: return "tail_put";
     case TraceStage::kTailFetch: return "tail_fetch";
     case TraceStage::kTailApply: return "tail_apply";
     case TraceStage::kChunkHash: return "chunk_hash";

@@ -48,14 +48,11 @@ enum class TraceStage : std::uint8_t {
   kCheckpointPart,   // checkpoint/dump part: PUT issued → reaped
   kRecoveryFetch,    // recovery object: GET issued → blob consumed
   kRecoveryApply,    // recovery object: decode + apply to the target VFS
-  kPutFirstByte,     // stream open → first data segment durable
-  kPartPut,          // segment sealed → its part durable (streaming)
-  kTailPut,          // segment sealed → replica-0 tail object durable
   kTailFetch,        // standby tail object: GET issued → blob consumed
   kTailApply,        // standby tail object: decode + apply into the image
   kChunkHash,        // delta dump: image chunked + SHA-1 hashed (per dump)
 };
-inline constexpr int kTraceStageCount = 17;
+inline constexpr int kTraceStageCount = 14;
 
 const char* TraceStageName(TraceStage stage);
 

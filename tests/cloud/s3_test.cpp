@@ -266,5 +266,37 @@ TEST(S3ClientServer, EmptyObjectOk) {
   EXPECT_TRUE(got->empty());
 }
 
+// Ginja only issues single-request PUTs; multipart-upload verbs and
+// server-side copy are refused and leave the bucket untouched.
+TEST(S3ClientServer, MultipartAndCopyAreNotImplemented) {
+  S3Fixture fx;
+  ASSERT_TRUE(fx.client->Put("src", View(ToBytes("v"))).ok());
+  SigV4Signer signer{AwsCredentials{}};
+  auto send = [&](HttpRequest request) {
+    signer.Sign(request, "20170515T000000Z");
+    auto response = fx.server->RoundTrip(request);
+    EXPECT_TRUE(response.ok());
+    return response.ok() ? response->status : 0;
+  };
+  HttpRequest initiate;
+  initiate.method = "POST";
+  initiate.path = "/ginja-bucket/staged";
+  initiate.query["uploads"] = "";
+  EXPECT_EQ(send(initiate), 501);
+  HttpRequest part;
+  part.method = "PUT";
+  part.path = "/ginja-bucket/staged";
+  part.query["partNumber"] = "1";
+  part.query["uploadId"] = "upload-1";
+  part.body = ToBytes("part");
+  EXPECT_EQ(send(part), 501);
+  HttpRequest copy;
+  copy.method = "PUT";
+  copy.path = "/ginja-bucket/dst";
+  copy.headers["x-amz-copy-source"] = "/ginja-bucket/src";
+  EXPECT_EQ(send(copy), 501);
+  EXPECT_EQ(fx.backend->ObjectCount(), 1u);
+}
+
 }  // namespace
 }  // namespace ginja

@@ -92,48 +92,6 @@ TEST_P(StoreConformance, EmptyObjectAllowed) {
   EXPECT_TRUE(got->empty());
 }
 
-TEST_P(StoreConformance, StreamedPutRoundTrip) {
-  auto writer = store_->BeginStreaming("stage/alpha");
-  ASSERT_TRUE(writer.ok());
-  ASSERT_TRUE((*writer)->AppendPart(0, View(B("part-0|"))).ok());
-  ASSERT_TRUE((*writer)->AppendPart(1, View(B("part-1|"))).ok());
-  // Re-appending a part at or below the frontier is an idempotent Ok (a
-  // retried part RPC must not corrupt the stream).
-  ASSERT_TRUE((*writer)->AppendPart(1, View(B("part-1|"))).ok());
-  ASSERT_TRUE((*writer)->AppendPart(2, View(B("part-2"))).ok());
-  // Nothing is visible before Finish.
-  EXPECT_FALSE(store_->Get("streamed").ok());
-  auto all = store_->List("");
-  ASSERT_TRUE(all.ok());
-  EXPECT_TRUE(all->empty());
-
-  ASSERT_TRUE((*writer)->Finish("streamed").ok());
-  auto got = store_->Get("streamed");
-  ASSERT_TRUE(got.ok());
-  EXPECT_EQ(*got, B("part-0|part-1|part-2"));
-  // Finish after success is an idempotent no-op.
-  EXPECT_TRUE((*writer)->Finish("streamed").ok());
-}
-
-TEST_P(StoreConformance, StreamedAbortLeavesNoTrace) {
-  auto writer = store_->BeginStreaming("stage/beta");
-  ASSERT_TRUE(writer.ok());
-  ASSERT_TRUE((*writer)->AppendPart(0, View(B("doomed"))).ok());
-  (*writer)->Abort();
-  EXPECT_EQ((*writer)->Finish("never").code(), ErrorCode::kInvalidArgument);
-  EXPECT_FALSE(store_->Get("never").ok());
-  auto all = store_->List("");
-  ASSERT_TRUE(all.ok());
-  EXPECT_TRUE(all->empty());
-}
-
-TEST_P(StoreConformance, StreamedOutOfOrderPartRejected) {
-  auto writer = store_->BeginStreaming("stage/gamma");
-  ASSERT_TRUE(writer.ok());
-  EXPECT_EQ((*writer)->AppendPart(1, View(B("skipped 0"))).code(),
-            ErrorCode::kInvalidArgument);
-}
-
 TEST_P(StoreConformance, ListStartAfterCursor) {
   ASSERT_TRUE(store_->Put("WAL/0_a", View(B("a"))).ok());
   ASSERT_TRUE(store_->Put("WAL/1_b", View(B("b"))).ok());
@@ -251,28 +209,6 @@ TEST(MeteredStore, LatencyModelSleepsAndRecords) {
   EXPECT_GT(store.put_latency().Mean(), 500.0);
 }
 
-TEST(MeteredStore, StreamedPutBillsOncePerObjectAtFinish) {
-  auto clock = std::make_shared<RealClock>();
-  MeteredStore store(std::make_shared<MemoryStore>(), clock);
-  auto writer = store.BeginStreaming("stage/metered");
-  ASSERT_TRUE(writer.ok());
-  ASSERT_TRUE((*writer)->AppendPart(0, View(B("12345"))).ok());
-  ASSERT_TRUE((*writer)->AppendPart(1, View(B("678"))).ok());
-  // Billing happens at Finish: until then the object is neither a PUT nor
-  // uploaded bytes (matches S3 multipart billing of the completed object).
-  EXPECT_EQ(store.Usage().puts, 0u);
-  EXPECT_EQ(store.Usage().bytes_uploaded, 0u);
-
-  ASSERT_TRUE((*writer)->Finish("streamed").ok());
-  const UsageReport usage = store.Usage();
-  EXPECT_EQ(usage.puts, 1u);
-  EXPECT_EQ(usage.bytes_uploaded, 8u);
-  EXPECT_EQ(usage.current_storage_bytes, 8u);
-  // A retried Finish must not double-bill.
-  ASSERT_TRUE((*writer)->Finish("streamed").ok());
-  EXPECT_EQ(store.Usage().puts, 1u);
-}
-
 // -- LatencyModel ---------------------------------------------------------------
 
 TEST(LatencyModel, FitsTable3Shape) {
@@ -352,59 +288,6 @@ TEST(ReplicatedStore, SurvivesOneProviderOutageWithQuorum) {
   ReplicatedStore store({a, faulty}, /*quorum=*/1);
   EXPECT_TRUE(store.Put("k", View(B("v"))).ok());
   EXPECT_TRUE(store.Get("k").ok());
-}
-
-TEST(ReplicatedStore, StreamedPutReachesQuorumPastOneOutage) {
-  auto a = std::make_shared<MemoryStore>();
-  auto b = std::make_shared<MemoryStore>();
-  auto faulty = std::make_shared<FaultyStore>(std::make_shared<MemoryStore>());
-  faulty->SetAvailable(false);
-  ReplicatedStore store({a, b, faulty}, /*quorum=*/2);
-  auto writer = store.BeginStreaming("stage/replicated");
-  ASSERT_TRUE(writer.ok());
-  ASSERT_TRUE((*writer)->AppendPart(0, View(B("hello "))).ok());
-  ASSERT_TRUE((*writer)->AppendPart(1, View(B("world"))).ok());
-  ASSERT_TRUE((*writer)->Finish("streamed").ok());
-  EXPECT_EQ(*a->Get("streamed"), B("hello world"));
-  EXPECT_EQ(*b->Get("streamed"), B("hello world"));
-  auto got = store.Get("streamed");
-  ASSERT_TRUE(got.ok());
-  EXPECT_EQ(*got, B("hello world"));
-}
-
-// A replica that fails in the middle of a streamed write — after staging
-// some parts — must not poison the stream: Finish still reaches quorum on
-// the healthy replicas, and the lagging replica is aborted, leaving no
-// half-published object a recovery could trip over.
-TEST(ReplicatedStore, ReplicaFailingMidStreamIsAbortedNeverHalfPublished) {
-  auto a = std::make_shared<MemoryStore>();
-  auto b = std::make_shared<MemoryStore>();
-  auto lagging_inner = std::make_shared<MemoryStore>();
-  auto lagging = std::make_shared<FaultyStore>(lagging_inner);
-  ReplicatedStore store({a, b, lagging}, /*quorum=*/2);
-
-  auto writer = store.BeginStreaming("stage/mid-fail");
-  ASSERT_TRUE(writer.ok());
-  // The lagging replica stages the first part fine, then dies mid-stream.
-  ASSERT_TRUE((*writer)->AppendPart(0, View(B("part0 "))).ok());
-  lagging->FailNextOps(1);
-  ASSERT_TRUE((*writer)->AppendPart(1, View(B("part1 "))).ok());
-  ASSERT_TRUE((*writer)->AppendPart(2, View(B("part2"))).ok());
-  ASSERT_TRUE((*writer)->Finish("streamed").ok());
-
-  // Quorum replicas published the complete object.
-  EXPECT_EQ(*a->Get("streamed"), B("part0 part1 part2"));
-  EXPECT_EQ(*b->Get("streamed"), B("part0 part1 part2"));
-  auto got = store.Get("streamed");
-  ASSERT_TRUE(got.ok());
-  EXPECT_EQ(*got, B("part0 part1 part2"));
-
-  // The failed replica was aborted: no published object, no staged
-  // residue — nothing visible at all.
-  EXPECT_FALSE(lagging_inner->Get("streamed").ok());
-  auto leftovers = lagging_inner->List("");
-  ASSERT_TRUE(leftovers.ok());
-  EXPECT_TRUE(leftovers->empty());
 }
 
 TEST(ReplicatedStore, FullQuorumFailsOnOutage) {

@@ -215,77 +215,5 @@ TEST(TransferManagerTest, CancelInterruptsBackoffSleep) {
   EXPECT_LT(elapsed.count(), 10'000);  // not the full backoff
 }
 
-// -- StreamSession ----------------------------------------------------------
-
-TEST(TransferStream, PartsUploadAndFinishPublishes) {
-  auto store = std::make_shared<MemoryStore>();
-  TransferManager manager(store, FastOptions());
-  auto session = manager.BeginStream("stage/s1");
-
-  std::atomic<int> parts_done{0};
-  session->AppendPart(0, B("one "), [&](Status st) {
-    EXPECT_TRUE(st.ok());
-    parts_done.fetch_add(1);
-  });
-  session->AppendPart(1, B("two "), [&](Status st) {
-    EXPECT_TRUE(st.ok());
-    parts_done.fetch_add(1);
-  });
-  session->AppendPart(2, B("three"), [&](Status st) {
-    EXPECT_TRUE(st.ok());
-    parts_done.fetch_add(1);
-  });
-  Status st = session->Finish(3, "published").get();
-  ASSERT_TRUE(st.ok());
-  EXPECT_EQ(parts_done.load(), 3);
-  EXPECT_EQ(session->BacklogParts(), 0u);
-  auto got = store->Get("published");
-  ASSERT_TRUE(got.ok());
-  EXPECT_EQ(*got, B("one two three"));
-}
-
-TEST(TransferStream, FinishRetriesTransientFailures) {
-  auto faulty = std::make_shared<FaultyStore>(std::make_shared<MemoryStore>());
-  TransferManager manager(faulty, FastOptions());
-  auto session = manager.BeginStream("stage/s2");
-  session->AppendPart(0, B("payload"));
-  faulty->FailNextOps(3);  // within max_attempts=10
-  Status st = session->Finish(1, "retried").get();
-  ASSERT_TRUE(st.ok());
-  EXPECT_TRUE(manager.Get("retried").ok());
-}
-
-TEST(TransferStream, AbortDiscardsWithoutPublishing) {
-  auto store = std::make_shared<MemoryStore>();
-  {
-    TransferManager manager(store, FastOptions());
-    auto session = manager.BeginStream("stage/s3");
-    std::atomic<bool> part_failed{false};
-    session->AppendPart(0, B("doomed"),
-                        [&](Status st) { part_failed.store(!st.ok()); });
-    session->Abort();
-    // The manager's destructor drains the pool; the backend abort reaps
-    // the staged upload when the session is dropped.
-  }
-  EXPECT_FALSE(store->Get("never").ok());
-  auto all = store->List("");
-  ASSERT_TRUE(all.ok());
-  EXPECT_TRUE(all->empty());
-}
-
-TEST(TransferStream, PermanentFailureFailsFinish) {
-  auto faulty = std::make_shared<FaultyStore>(std::make_shared<MemoryStore>());
-  TransferOptions options = FastOptions();
-  options.max_attempts = 3;
-  TransferManager manager(faulty, options);
-  faulty->SetAvailable(false);  // never recovers: the part fails for good
-  auto session = manager.BeginStream("stage/s4");
-  session->AppendPart(0, B("lost"));
-  Status st = session->Finish(1, "unreachable").get();
-  EXPECT_FALSE(st.ok());
-  faulty->SetAvailable(true);
-  EXPECT_FALSE(manager.Get("unreachable").ok());
-}
-
 }  // namespace
 }  // namespace ginja

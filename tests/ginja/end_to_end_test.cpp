@@ -177,6 +177,60 @@ TEST_P(EndToEnd, UpdatesAfterCheckpointAlsoRecover) {
   EXPECT_EQ(recovered->RowCount("t"), 60u);
 }
 
+// Boot over a database that already has WAL: each boot-time WAL object
+// may claim only the WAL written before boot. A claim up to the end of its
+// whole segment made checkpoint GC keep the boot object while deleting the
+// later WAL objects, and recovery stopped at the resulting timestamp gap.
+TEST_P(EndToEnd, BootWalObjectsDoNotOutliveCheckpointGc) {
+  const DbLayout layout = GetParam() == DbFlavor::kPostgres
+                              ? DbLayout::Postgres()
+                              : DbLayout::MySql();
+  auto clock = std::make_shared<RealClock>();
+  auto local = std::make_shared<MemFs>();
+  auto intercept = std::make_shared<InterceptFs>(local, clock);
+  auto store = std::make_shared<MemoryStore>();
+  Database db(intercept, layout);
+  ASSERT_TRUE(db.Create().ok());
+  ASSERT_TRUE(db.CreateTable("a").ok());
+  ASSERT_TRUE(db.CreateTable("b").ok());
+  int next = 0;
+  auto commit_rows = [&](int count) {
+    for (int i = 0; i < count; ++i, ++next) {
+      auto txn = db.Begin();
+      const std::string key = "k" + std::to_string(next);
+      ASSERT_TRUE(db.Put(txn, next % 2 == 0 ? "a" : "b", key,
+                         ToBytes("value-" + key)).ok());
+      ASSERT_TRUE(db.Commit(txn).ok());
+    }
+  };
+  commit_rows(40);  // WAL the boot must upload
+
+  Ginja ginja(local, store, clock, layout, Harness::FastConfig());
+  ASSERT_TRUE(ginja.Boot().ok());
+  intercept->SetListener(&ginja);
+  for (int round = 0; round < 3; ++round) {
+    commit_rows(40);
+    ASSERT_TRUE(db.Checkpoint().ok());
+    ginja.Drain();
+  }
+  commit_rows(40);  // only the WAL objects past the last checkpoint hold these
+  ginja.Stop();
+  intercept->SetListener(nullptr);
+  EXPECT_GE(ginja.checkpoint_stats().checkpoints_uploaded.Get(), 2u);
+  EXPECT_GT(ginja.checkpoint_stats().wal_objects_deleted.Get(), 0u);
+
+  auto fresh = std::make_shared<MemFs>();
+  RecoveryReport report;
+  ASSERT_TRUE(Ginja::Recover(store, Harness::FastConfig(), layout, fresh,
+                             &report).ok());
+  EXPECT_FALSE(report.gap_detected);
+  Database recovered(fresh, layout);
+  ASSERT_TRUE(recovered.Open().ok());
+  EXPECT_EQ(recovered.RowCount("a"), db.RowCount("a"));
+  EXPECT_EQ(recovered.RowCount("b"), db.RowCount("b"));
+  EXPECT_EQ(recovered.WalEndLsn(), db.WalEndLsn());
+}
+
 TEST_P(EndToEnd, RepeatedCheckpointsEventuallyDump) {
   Harness h(GetParam());
   std::uint64_t dumps_before = h.ginja->checkpoint_stats().dumps_uploaded.Get();

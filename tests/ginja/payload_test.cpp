@@ -74,5 +74,13 @@ TEST(Payload, TruncationRejectedAtEveryPrefix) {
   }
 }
 
+// A payload is exactly one entry list: a second list appended after it is
+// corruption, not more entries.
+TEST(Payload, TrailingBytesRejected) {
+  Bytes twice = EncodeEntries(SampleEntries());
+  Append(twice, View(EncodeEntries(SampleEntries())));
+  EXPECT_FALSE(DecodeEntries(View(twice)).ok());
+}
+
 }  // namespace
 }  // namespace ginja
