@@ -8,11 +8,11 @@
 //
 // Three additions beyond the paper's figure:
 //   * a client-thread sweep (1/4/16 TPC-C terminals) with per-commit
-//     latency percentiles, showing how the sharded Submit path scales;
-//   * an ingestion microbench that strips away SQL and interception and
-//     hammers CommitPipeline::Submit directly against an instant store
-//     (raw MemoryStore, real clock), comparing sharded ingestion with the
-//     single-lock baseline (submit_shards = 1);
+//     latency percentiles through the whole stack;
+//   * an ingestion sweep that strips away SQL and interception and calls
+//     CommitPipeline::Submit directly from 1/4/16 threads against an
+//     instant store (raw MemoryStore, real clock): end-to-end writes/s and
+//     commit latency through the one submit ring;
 //   * a buffered commit sweep over B on the WAN S3 model: commit latency
 //     percentiles against PUTs and WAL dollars per month.
 //
@@ -124,73 +124,75 @@ void RunTerminalSweep() {
   }
 }
 
-// Ingestion front-end scaling, isolated from the engine: concurrent client
-// threads call CommitPipeline::Submit directly. The store is a raw
-// MemoryStore on a real clock (the "Instant" latency profile).
+// Ingestion scaling, isolated from the engine: concurrent client threads
+// call CommitPipeline::Submit directly, all through the one submit ring.
+// The store is a raw MemoryStore on a real clock (the "Instant" latency
+// profile).
 //
-// The headline metric is submitted-writes/s: wall time until every Submit
-// has returned, excluding Drain(). Aggregation and uploads are the same
-// machinery for every shard count; what sharding changes is how fast the
-// front end accepts writes. The total write count stays below S and below
-// the shards=1 ring capacity so no Submit ever blocks on the back end —
-// the submit phase measures the front end alone. Each configuration runs
-// several repetitions and keeps the best (least-perturbed) one.
+// The headline metrics are end to end: writes/s until Drain() returns
+// (every write acknowledged) and the commit latency percentiles. The
+// submit-phase rate (wall time until every Submit has returned) trails:
+// it measures how fast the front end accepts writes, which is not how fast
+// they commit. The total write count stays below S and below the ring
+// capacity, so no Submit ever blocks on the back end. Each thread count
+// runs several repetitions and reports the one with the median end-to-end
+// rate.
 void RunIngestSweep() {
   PrintHeader(
       "Ingestion sweep — CommitPipeline::Submit, instant store, real clock");
-  std::printf("%-8s %-9s %-16s %-16s %-14s %-14s\n", "shards", "threads",
-              "submitted/s", "e2e writes/s", "commit p50", "commit p99");
+  std::printf("%-9s %-16s %-14s %-14s %-16s\n", "threads", "e2e writes/s",
+              "commit p50", "commit p99", "submitted/s");
   // 48k total writes: under S = 100k (never safety-blocked) and under the
-  // 65536-slot ring of the shards=1 baseline (never backpressured).
+  // 65536-slot ring (never backpressured).
   const std::uint64_t total_writes = 48'000;
   const int reps = g_smoke ? 3 : 5;
-  for (int shards : {1, 8}) {
-    for (int threads : {1, 4, 16}) {
-      IngestResult best;
+  for (int threads : {1, 4, 16}) {
+    struct Rep {
+      IngestResult result;
       HistogramSnapshot commit;
-      for (int rep = 0; rep < reps; ++rep) {
-        auto store = std::make_shared<MemoryStore>();
-        auto view = std::make_shared<CloudView>();
-        auto clock = std::make_shared<RealClock>();
-        auto envelope = std::make_shared<Envelope>(EnvelopeOptions{});
-        GinjaConfig config;
-        config.submit_shards = shards;
-        config.batch = 100;
-        config.batch_timeout_us = 1'000'000;
-        config.safety = 100'000;
-        config.uploader_threads = 4;
-        auto pipeline = std::make_unique<CommitPipeline>(store, view, clock,
-                                                         config, envelope);
-        pipeline->Start();
+    };
+    std::vector<Rep> runs;
+    for (int rep = 0; rep < reps; ++rep) {
+      auto store = std::make_shared<MemoryStore>();
+      auto view = std::make_shared<CloudView>();
+      auto clock = std::make_shared<RealClock>();
+      auto envelope = std::make_shared<Envelope>(EnvelopeOptions{});
+      GinjaConfig config;
+      config.batch = 100;
+      config.batch_timeout_us = 1'000'000;
+      config.safety = 100'000;
+      config.uploader_threads = 4;
+      auto pipeline = std::make_unique<CommitPipeline>(store, view, clock,
+                                                       config, envelope);
+      pipeline->Start();
 
-        IngestOptions options;
-        options.threads = threads;
-        // Fixed total work across thread counts.
-        options.writes_per_thread =
-            total_writes / static_cast<std::uint64_t>(threads);
-        options.write_bytes = 256;
-        options.pages_per_thread = 8;
-        const IngestResult result = RunWalIngest(*pipeline, options);
-        if (result.SubmittedWritesPerSec() > best.SubmittedWritesPerSec()) {
-          best = result;
-          commit = pipeline->stats().commit_latency_us.Snapshot();
-        }
-        pipeline->Stop();
-      }
-
-      std::printf("%-8d %-9d %-16.0f %-16.0f %-14.0f %-14.0f\n", shards,
-                  threads, best.SubmittedWritesPerSec(),
-                  best.EndToEndWritesPerSec(), commit.p50, commit.p99);
-      JsonLine line("fig5_ingest");
-      line.Field("shards", shards)
-          .Field("threads", threads)
-          .Field("writes", best.writes)
-          .Field("writes_per_sec", best.SubmittedWritesPerSec())
-          .Field("e2e_writes_per_sec", best.EndToEndWritesPerSec())
-          .Field("commit_p50_us", commit.p50)
-          .Field("commit_p99_us", commit.p99);
-      line.Emit();
+      IngestOptions options;
+      options.threads = threads;
+      // Fixed total work across thread counts.
+      options.writes_per_thread =
+          total_writes / static_cast<std::uint64_t>(threads);
+      options.write_bytes = 256;
+      options.pages_per_thread = 8;
+      const IngestResult result = RunWalIngest(*pipeline, options);
+      runs.push_back({result, pipeline->stats().commit_latency_us.Snapshot()});
+      pipeline->Stop();
     }
+    std::sort(runs.begin(), runs.end(), [](const Rep& a, const Rep& b) {
+      return a.result.EndToEndWritesPerSec() < b.result.EndToEndWritesPerSec();
+    });
+    const Rep& median = runs[runs.size() / 2];
+
+    std::printf("%-9d %-16.0f %-14.0f %-14.0f %-16.0f\n", threads,
+                median.result.EndToEndWritesPerSec(), median.commit.p50,
+                median.commit.p99, median.result.SubmittedWritesPerSec());
+    JsonLine line("fig5_ingest");
+    line.Field("threads", threads)
+        .Field("writes", median.result.writes)
+        .Field("e2e_writes_per_sec", median.result.EndToEndWritesPerSec())
+        .Field("commit_p50_us", median.commit.p50)
+        .Field("commit_p99_us", median.commit.p99)
+        .Field("writes_per_sec", median.result.SubmittedWritesPerSec());
+    line.Emit();
   }
 }
 

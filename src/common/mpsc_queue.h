@@ -1,15 +1,17 @@
-// Bounded lock-free multi-producer ring (Vyukov-style), used for the
-// commit pipeline's sharded submit path.
+// Bounded lock-free multi-producer ring (Vyukov-style): the commit
+// pipeline's one submit queue.
 //
-// Each cell carries an atomic sequence number: producers claim a slot with
-// one fetch_add on the tail and publish by bumping the cell sequence, so
-// concurrent producers never share a cache line beyond the tail counter —
-// and with one ring per shard, not even that. The consumer (the pipeline's
-// Aggregator) drains with plain TryPop; nothing ever blocks inside the
-// queue, so a full ring surfaces as TryPush == false and the caller decides
-// how to wait (the submit path yields: a full ring means the consumer is
-// already behind, which is exactly the condition Ginja's Safety bound is
-// about to convert into back-pressure anyway).
+// Each cell carries an atomic sequence number: a producer claims a slot
+// with one CAS on the tail and publishes by bumping the cell sequence. The
+// claim order is the ring order, and the single consumer (the pipeline's
+// Aggregator) pops strictly in that order, waiting at a claimed but not yet
+// published head cell. So the order of successful claims *is* the write
+// sequence: position p is the p-th write ever submitted, and nothing
+// downstream reorders. Nothing ever blocks inside the queue, so a full
+// ring surfaces as TryPush == false and the caller decides how to wait (the
+// submit path yields: a full ring means the consumer is already behind,
+// which is exactly the condition Ginja's Safety bound is about to convert
+// into back-pressure anyway).
 //
 // The algorithm is MPMC-safe; we only rely on the MPSC subset.
 #pragma once
@@ -41,8 +43,10 @@ class MpscRing {
 
   std::size_t capacity() const { return mask_ + 1; }
 
-  // Moves from `item` only on success; false when the ring is full.
-  bool TryPush(T& item) {
+  // Moves from `item` only on success; false when the ring is full. On
+  // success, `pos_out` (when non-null) receives the claimed position: the
+  // number of pushes claimed before this one.
+  bool TryPush(T& item, std::size_t* pos_out = nullptr) {
     Cell* cell;
     std::size_t pos = tail_.load(std::memory_order_relaxed);
     for (;;) {
@@ -63,6 +67,7 @@ class MpscRing {
     }
     cell->item = std::move(item);
     cell->seq.store(pos + 1, std::memory_order_release);
+    if (pos_out != nullptr) *pos_out = pos;
     return true;
   }
 
@@ -82,10 +87,11 @@ class MpscRing {
     return true;
   }
 
-  // Approximate occupancy (producers may be mid-publish).
-  std::size_t SizeApprox() const {
-    const std::size_t tail = tail_.load(std::memory_order_relaxed);
-    return tail >= head_ ? tail - head_ : 0;
+  // Positions claimed so far: every successful TryPush, counting those
+  // still mid-publish. Any thread may call it; a producer always sees its
+  // own claims.
+  std::size_t Claimed() const {
+    return tail_.load(std::memory_order_acquire);
   }
 
  private:

@@ -13,93 +13,11 @@ namespace {
 // Poll interval for time-based predicates (TB/TS); wall time, so it works
 // with any Clock scale.
 constexpr auto kPollInterval = std::chrono::milliseconds(1);
-// EWMA weight for the adaptive controller's RTT / arrival-rate estimates.
-constexpr double kEwmaAlpha = 0.2;
 // Slice length for kill-interruptible backoff sleeps (model time).
 constexpr std::uint64_t kSleepSliceUs = 20'000;
 // Decorrelates the uploaders' jitter streams (golden-ratio increment).
 constexpr std::uint64_t kSeedStride = 0x9E3779B97F4A7C15ull;
 }  // namespace
-
-// ---------------------------------------------------------------------------
-// AdaptiveBatchController
-
-AdaptiveBatchController::AdaptiveBatchController(std::size_t batch_cap,
-                                                std::uint64_t tb_us,
-                                                int uploader_threads)
-    : batch_cap_(batch_cap < 1 ? 1 : batch_cap),
-      tb_us_(tb_us),
-      uploaders_(uploader_threads < 1 ? 1.0
-                                      : static_cast<double>(uploader_threads)) {}
-
-void AdaptiveBatchController::RecordPutRtt(std::uint64_t rtt_us) {
-  std::lock_guard<std::mutex> lock(mu_);
-  const double sample = static_cast<double>(rtt_us);
-  if (!have_rtt_) {
-    rtt_ewma_us_ = sample;
-    have_rtt_ = true;
-  } else {
-    rtt_ewma_us_ = kEwmaAlpha * sample + (1.0 - kEwmaAlpha) * rtt_ewma_us_;
-  }
-}
-
-void AdaptiveBatchController::RecordArrivals(std::size_t count,
-                                             std::uint64_t now_us) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (last_arrival_us_ == 0) {
-    last_arrival_us_ = now_us;
-    arrival_carry_ += count;
-    return;
-  }
-  const std::uint64_t dt = now_us - last_arrival_us_;
-  if (dt == 0) {
-    // Same observation instant (coarse clocks): fold into the next sample.
-    arrival_carry_ += count;
-    return;
-  }
-  const double sample =
-      static_cast<double>(count + arrival_carry_) / static_cast<double>(dt);
-  arrival_carry_ = 0;
-  last_arrival_us_ = now_us;
-  if (!have_rate_) {
-    rate_ewma_ = sample;
-    have_rate_ = true;
-  } else {
-    rate_ewma_ = kEwmaAlpha * sample + (1.0 - kEwmaAlpha) * rate_ewma_;
-  }
-}
-
-void AdaptiveBatchController::NoteUploadState(int inflight_puts) {
-  inflight_.store(inflight_puts, std::memory_order_relaxed);
-}
-
-double AdaptiveBatchController::TargetLocked() const {
-  return rate_ewma_ * rtt_ewma_us_ / uploaders_;
-}
-
-std::uint64_t AdaptiveBatchController::CloseDeadlineUs() const {
-  // An idle upload pipe means waiting buys nothing: whatever is pending
-  // ships now. (Sentinel -1 = the pipeline never reported; fall through.)
-  if (inflight_.load(std::memory_order_relaxed) == 0) return 0;
-  std::lock_guard<std::mutex> lock(mu_);
-  if (!have_rtt_ || !have_rate_) return 0;
-  if (TargetLocked() <= 1.0) return 0;
-  const double deadline = rtt_ewma_us_ / uploaders_;
-  return static_cast<std::uint64_t>(
-      std::min(deadline, static_cast<double>(tb_us_)));
-}
-
-std::size_t AdaptiveBatchController::TargetBatch() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (!have_rtt_ || !have_rate_) return 1;
-  const double target = TargetLocked();
-  if (target <= 1.0) return 1;
-  if (target >= static_cast<double>(batch_cap_)) return batch_cap_;
-  return static_cast<std::size_t>(target);
-}
-
-// ---------------------------------------------------------------------------
-// CommitPipeline
 
 CommitPipeline::CommitPipeline(ObjectStorePtr store,
                                std::shared_ptr<CloudView> view,
@@ -110,24 +28,12 @@ CommitPipeline::CommitPipeline(ObjectStorePtr store,
       view_(std::move(view)),
       clock_(std::move(clock)),
       config_(config),
-      envelope_(std::move(envelope)) {
-  const int shard_count = std::max(1, config_.submit_shards);
-  // Each ring must absorb a full S backlog plus a batch in flight; beyond
-  // that Submit backpressures by spinning, which S-blocking normally
-  // prevents from ever happening.
-  const std::size_t ring_capacity = std::min<std::size_t>(
-      std::max<std::size_t>(config_.safety + config_.batch + 64, 64), 65536);
-  shards_.reserve(static_cast<std::size_t>(shard_count));
-  for (int i = 0; i < shard_count; ++i) {
-    shards_.push_back(std::make_unique<MpscRing<Slot>>(ring_capacity));
-  }
-  reorder_.resize(1024);
-  reorder_filled_.assign(1024, 0);
-  if (config_.adaptive_batching) {
-    adaptive_ = std::make_unique<AdaptiveBatchController>(
-        config_.batch, config_.batch_timeout_us,
-        std::max(1, config_.uploader_threads));
-  }
+      envelope_(std::move(envelope)),
+      // The ring absorbs a full S backlog plus a batch in flight; beyond
+      // that Submit backpressures by spinning, which S-blocking normally
+      // prevents from ever happening.
+      ring_(std::min<std::size_t>(config_.safety + config_.batch + 64,
+                                  65536)) {
   last_agg_time_us_ = clock_->NowMicros();
   coarse_now_us_.store(last_agg_time_us_, std::memory_order_release);
   if (config_.obs) {
@@ -287,7 +193,7 @@ std::uint64_t CommitPipeline::Unconfirmed() const {
   // bound errs toward blocking, never toward extra loss.
   const std::uint64_t completed =
       completed_count_.load(std::memory_order_acquire);
-  const std::uint64_t submitted = submit_seq_.load(std::memory_order_acquire);
+  const std::uint64_t submitted = ring_.Claimed();
   return submitted - completed;
 }
 
@@ -297,88 +203,37 @@ bool CommitPipeline::ShouldBlock(std::uint64_t now_us) const {
   return oldest != kNoOldest && now_us - oldest >= config_.safety_timeout_us;
 }
 
-std::size_t CommitPipeline::ShardOf(const WalWrite& write) const {
-  // Same (file, page) always lands on the same shard, so per-page rewrite
-  // streams stay FIFO within a shard; the sequencer provides the global
-  // order anyway, this only spreads contention. Any mapping is correct, so
-  // instead of hashing the whole file name we sample the bytes that vary
-  // between WAL segments (length, tail, middle) — a handful of loads on
-  // the submit hot path instead of a full string hash.
-  std::size_t h = write.file.size();
-  if (!write.file.empty()) {
-    h = h * 131 + static_cast<unsigned char>(write.file.back());
-    h = h * 131 + static_cast<unsigned char>(write.file[write.file.size() / 2]);
-  }
-  h ^= (write.offset >> 12) + 0x9E3779B97F4A7C15ull + (h << 6) + (h >> 2);
-  return h % shards_.size();
-}
-
 void CommitPipeline::Submit(WalWrite write) {
   if (killed_.load(std::memory_order_acquire)) return;
   Slot slot;
   slot.write = std::move(write);
-  std::uint64_t seq;
-  bool block_fast;
-  if (shards_.size() == 1) {
-    // Single-lock baseline, reproducing the contention profile of the old
-    // global-deque design line by line: one mutex covers the entire submit
-    // body — the enqueue-time clock read, sequencing, enqueue, stats, the
-    // aggregator wakeup, and the S/TS fast-path check with its own clock
-    // read — and the aggregator holds the same mutex while it drains and
-    // coalesces a batch, so submitters stall behind aggregation exactly as
-    // they did behind the old locked std::map build.
-    std::unique_lock<std::mutex> lock(legacy_mu_);
-    slot.enqueue_us = clock_->NowMicros();
-    seq = submit_seq_.fetch_add(1, std::memory_order_acq_rel);
-    slot.seq = seq;
-    while (!shards_[0]->TryPush(slot)) {
-      if (killed_.load(std::memory_order_acquire)) return;
-      // Drop the lock while yielding: draining the ring needs legacy_mu_,
-      // so spinning with it held would deadlock when backlog > capacity.
-      lock.unlock();
-      std::this_thread::yield();
-      lock.lock();
-    }
-    stats_.writes_submitted.Add();
-    // Old behavior: notify under the lock on every over-threshold submit.
-    if (seq + 1 - batched_count_.load(std::memory_order_relaxed) >=
-        config_.batch) {
-      agg_cv_.notify_one();
-    }
-    block_fast = ShouldBlock(clock_->NowMicros());
-  } else {
-    // Coarse enqueue stamp: see coarse_now_us_. Saves a clock read per
-    // Submit; the error is bounded by one aggregator poll and biased old,
-    // which only over-ages writes against the seconds-scale TS bound.
-    slot.enqueue_us = coarse_now_us_.load(std::memory_order_relaxed);
-    const std::size_t shard = ShardOf(slot.write);
-    seq = submit_seq_.fetch_add(1, std::memory_order_acq_rel);
-    slot.seq = seq;
-    // Ring full = S-sized backlog on this shard; spin as backpressure. The
-    // aggregator cannot stage past this seq until the push lands, so the
-    // write is never lost, only delayed.
-    while (!shards_[shard]->TryPush(slot)) {
-      if (killed_.load(std::memory_order_acquire)) return;
-      std::this_thread::yield();
-    }
-    stats_.writes_submitted.Add();
+  // Coarse enqueue stamp: see coarse_now_us_. Saves a clock read per
+  // Submit; the error is bounded by one aggregator poll and biased old,
+  // which only over-ages writes against the seconds-scale TS bound.
+  const std::uint64_t enqueue_us =
+      coarse_now_us_.load(std::memory_order_relaxed);
+  slot.enqueue_us = enqueue_us;
+  // Ring full = S-sized backlog; spin as backpressure. The write is never
+  // lost, only delayed, and takes its place in the sequence only once its
+  // claim lands.
+  std::size_t seq = 0;
+  while (!ring_.TryPush(slot, &seq)) {
+    if (killed_.load(std::memory_order_acquire)) return;
+    std::this_thread::yield();
+  }
+  stats_.writes_submitted.Add();
 
-    // Wake the Aggregator only when a full batch is pending AND it is
-    // parked; partial batches are picked up by its TB/adaptive poll.
-    // Skipping the notify while it is awake keeps agg_mu_ off the submit
-    // hot path — under a burst every thread would otherwise serialize on
-    // it here.
-    if (seq + 1 - batched_count_.load(std::memory_order_relaxed) >=
-            config_.batch &&
-        agg_idle_.load(std::memory_order_acquire)) {
-      {
-        std::lock_guard<std::mutex> lock(agg_mu_);
-      }
-      agg_cv_.notify_one();
+  // Wake the Aggregator only when a full batch is pending AND it is
+  // parked; partial batches are picked up by its TB poll. Skipping the
+  // notify while it is awake keeps agg_mu_ off the submit hot path — under
+  // a burst every thread would otherwise serialize on it here.
+  if (seq + 1 - batched_count_.load(std::memory_order_relaxed) >=
+          config_.batch &&
+      agg_idle_.load(std::memory_order_acquire)) {
+    {
+      std::lock_guard<std::mutex> lock(agg_mu_);
     }
-    // Alg. 2 lines 5-7 fast path, lock-free and reusing the enqueue
-    // timestamp (TS is seconds-scale, the push is microseconds).
-    block_fast = ShouldBlock(slot.enqueue_us);
+    agg_cv_.notify_one();
   }
 
   // Block while S/TS would be violated. The slow path is event-driven (no
@@ -387,8 +242,9 @@ void CommitPipeline::Submit(WalWrite write) {
   // signalling unblock_cv_ (with an empty block_mu_ critical section
   // ordering the two), so waiting without a timeout is safe. Time passing
   // alone never unblocks — it only ages the oldest write toward the TS
-  // limit.
-  if (block_fast) {
+  // limit. The fast path reuses the enqueue timestamp (TS is seconds-scale,
+  // the push is microseconds).
+  if (ShouldBlock(enqueue_us)) {
     std::unique_lock<std::mutex> lock(block_mu_);
     bool blocked = false;
     while (!killed_.load(std::memory_order_acquire) &&
@@ -416,72 +272,38 @@ std::size_t CommitPipeline::PendingWrites() const {
   return static_cast<std::size_t>(Unconfirmed());
 }
 
-void CommitPipeline::PlaceInReorder(Slot slot) {
-  if (slot.seq - reorder_base_ >= reorder_.size()) GrowReorder(slot.seq);
-  const std::size_t idx = slot.seq & (reorder_.size() - 1);
-  reorder_[idx] = std::move(slot);
-  reorder_filled_[idx] = 1;
-}
-
-void CommitPipeline::GrowReorder(std::uint64_t seq) {
-  std::size_t want = reorder_.size() * 2;
-  while (want < seq - reorder_base_ + 1) want <<= 1;
-  std::vector<Slot> old = std::move(reorder_);
-  std::vector<char> old_filled = std::move(reorder_filled_);
-  reorder_ = std::vector<Slot>(want);
-  reorder_filled_.assign(want, 0);
-  for (std::size_t i = 0; i < old.size(); ++i) {
-    if (!old_filled[i]) continue;
-    const std::size_t idx = old[i].seq & (want - 1);
-    reorder_[idx] = std::move(old[i]);
-    reorder_filled_[idx] = 1;
-  }
-}
-
-std::size_t CommitPipeline::DrainShards() {
+void CommitPipeline::DrainRing() {
+  const std::size_t first = staged_.size();
   Slot slot;
-  for (auto& shard : shards_) {
-    while (shard->TryPop(slot)) PlaceInReorder(std::move(slot));
+  while (ring_.TryPop(slot)) {
+    // Pops come in claim order, so counting them yields each write's ring
+    // position: its place in the submit sequence.
+    slot.seq = popped_++;
+    staged_.push_back(std::move(slot));
   }
-  // Stage the dense seq prefix: batch formation must see writes in global
-  // submit order (byte-for-byte batch equivalence with the single queue),
-  // so a write drained out of order parks in the window until the gap
-  // before it fills.
-  std::size_t newly = 0;
-  while (true) {
-    const std::size_t idx = reorder_base_ & (reorder_.size() - 1);
-    if (!reorder_filled_[idx]) break;
-    staged_.push_back(std::move(reorder_[idx]));
-    reorder_filled_[idx] = 0;
-    ++reorder_base_;
-    ++newly;
-  }
-  if (newly > 0) {
-    if (Tracing()) {
-      // One clock read per drain, and only with the tracer on: the submit
-      // hot path carries zero tracing cost, sampled writes get stamped here.
-      const std::uint64_t now = clock_->NowMicros();
-      for (std::size_t i = staged_.size() - newly; i < staged_.size(); ++i) {
-        Slot& slot = staged_[i];
-        if (!tracer_->Sampled(slot.seq)) continue;
-        slot.traced = true;
-        slot.staged_us = now;
-        tracer_->Record(TraceStage::kSubmit, slot.seq, slot.enqueue_us, 0);
-        tracer_->Record(TraceStage::kStaged, slot.seq, slot.enqueue_us,
-                        now >= slot.enqueue_us ? now - slot.enqueue_us : 0);
-      }
+  if (staged_.size() == first) return;
+  if (Tracing()) {
+    // One clock read per drain, and only with the tracer on: the submit
+    // hot path carries zero tracing cost, sampled writes get stamped here.
+    const std::uint64_t now = clock_->NowMicros();
+    for (std::size_t i = first; i < staged_.size(); ++i) {
+      Slot& staged = staged_[i];
+      if (!tracer_->Sampled(staged.seq)) continue;
+      staged.traced = true;
+      staged.staged_us = now;
+      tracer_->Record(TraceStage::kSubmit, staged.seq, staged.enqueue_us, 0);
+      tracer_->Record(TraceStage::kStaged, staged.seq, staged.enqueue_us,
+                      now >= staged.enqueue_us ? now - staged.enqueue_us : 0);
     }
-    // Newly staged writes become TS-visible: publish the oldest pending
-    // enqueue time. Writes still inside the rings are invisible to TS for
-    // at most ~one poll interval, negligible against TS >= milliseconds.
-    std::lock_guard<std::mutex> lock(window_mu_);
-    for (std::size_t i = staged_.size() - newly; i < staged_.size(); ++i) {
-      pending_times_.push_back(staged_[i].enqueue_us);
-    }
-    oldest_pending_us_.store(pending_times_.front(),
-                             std::memory_order_release);
   }
-  return newly;
+  // Newly staged writes become TS-visible: publish the oldest pending
+  // enqueue time. Writes still inside the ring are invisible to TS for at
+  // most ~one poll interval, negligible against TS >= milliseconds.
+  std::lock_guard<std::mutex> lock(window_mu_);
+  for (std::size_t i = first; i < staged_.size(); ++i) {
+    pending_times_.push_back(staged_[i].enqueue_us);
+  }
+  oldest_pending_us_.store(pending_times_.front(), std::memory_order_release);
 }
 
 void CommitPipeline::AggregatorLoop() {
@@ -491,27 +313,16 @@ void CommitPipeline::AggregatorLoop() {
       agg_idle_.store(true, std::memory_order_release);
       agg_cv_.wait_for(lock, kPollInterval, [&] {
         return stopping_.load(std::memory_order_acquire) ||
-               submit_seq_.load(std::memory_order_acquire) -
+               ring_.Claimed() -
                        batched_count_.load(std::memory_order_relaxed) >=
                    config_.batch;
       });
       agg_idle_.store(false, std::memory_order_release);
     }
     if (killed_.load(std::memory_order_acquire)) return;
-    // Single-lock baseline: the old design coalesced under the global
-    // submit mutex, stalling every Submit for the duration of batch
-    // formation. Reproduce that by holding legacy_mu_ across the drain and
-    // the FormBatch calls. Sharded mode takes no submit-path lock here.
-    std::unique_lock<std::mutex> legacy_lock(legacy_mu_, std::defer_lock);
-    if (shards_.size() == 1) legacy_lock.lock();
-    const std::size_t newly = DrainShards();
+    DrainRing();
     const std::uint64_t now = clock_->NowMicros();
     coarse_now_us_.store(now, std::memory_order_release);
-    if (adaptive_) {
-      adaptive_->RecordArrivals(newly, now);
-      adaptive_->NoteUploadState(
-          inflight_puts_.load(std::memory_order_relaxed));
-    }
     if (staged_.empty()) {
       if (stopping_.load(std::memory_order_acquire)) return;
       continue;
@@ -520,21 +331,18 @@ void CommitPipeline::AggregatorLoop() {
       FormBatch(config_.batch, now, /*closed_full=*/true);
     }
     if (!staged_.empty()) {
-      const std::uint64_t deadline =
-          adaptive_ ? adaptive_->CloseDeadlineUs() : config_.batch_timeout_us;
       const bool stop_flush = stopping_.load(std::memory_order_acquire);
       if (stop_flush) {
         // Stop() can land mid-pass: writes submitted before the stop but
-        // after this pass's DrainShards are still in the shard queues.
-        // Pick them up before the final flush so shutdown forms the same
-        // full batches a quiescent stop would — batch formation stays
-        // identical across shard counts even when Stop races this loop.
-        DrainShards();
+        // after this pass's DrainRing are still in the ring. Pick them up
+        // before the final flush so shutdown forms the same full batches a
+        // quiescent stop would, even when Stop races this loop.
+        DrainRing();
         while (staged_.size() >= config_.batch) {
           FormBatch(config_.batch, now, /*closed_full=*/true);
         }
       }
-      if ((stop_flush || now - last_agg_time_us_ >= deadline) &&
+      if ((stop_flush || now - last_agg_time_us_ >= config_.batch_timeout_us) &&
           !staged_.empty()) {
         FormBatch(staged_.size(), now, /*closed_full=*/false);
       }
@@ -736,14 +544,11 @@ void CommitPipeline::ExecuteUploadJob(UploadJob job, RetryPolicy& retry,
   std::uint64_t first_attempt_us = 0;
   std::uint64_t put_end_us = 0;
   Status last_status = Status::Ok();
-  inflight_puts_.fetch_add(1, std::memory_order_relaxed);
   for (int attempt = 1; attempt <= retry.max_attempts(); ++attempt) {
-    const std::uint64_t started = clock_->NowMicros();
-    if (attempt == 1) first_attempt_us = started;
+    if (attempt == 1) first_attempt_us = clock_->NowMicros();
     Status st = store_->Put(job.name, View(enveloped));
     if (st.ok()) {
-      if (adaptive_ || traced) put_end_us = clock_->NowMicros();
-      if (adaptive_) adaptive_->RecordPutRtt(put_end_us - started);
+      if (traced) put_end_us = clock_->NowMicros();
       uploaded = true;
       break;
     }
@@ -755,7 +560,6 @@ void CommitPipeline::ExecuteUploadJob(UploadJob job, RetryPolicy& retry,
     }
     if (!SleepInterruptible(retry.NextBackoffUs(attempt))) break;
   }
-  inflight_puts_.fetch_sub(1, std::memory_order_relaxed);
   if (uploaded) {
     stats_.objects_uploaded.Add();
     stats_.bytes_uploaded.Add(enveloped.size());

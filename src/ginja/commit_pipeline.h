@@ -11,15 +11,12 @@
 // more than S writes are unconfirmed, or while the oldest unconfirmed
 // write has been pending longer than TS.
 //
-// Ingestion front end (DESIGN.md "Sharded commit ingestion"): Submit is
-// lock-free — a global sequencer (one fetch_add) stamps the submit order,
-// the write lands in a per-shard MPSC ring chosen by (file, page), and the
-// S/TS predicate reads three atomics. The Aggregator drains the shards and
-// restores sequencer order through a dense reorder window, so batches are
-// formed from exactly the same global write order as the old single-mutex
-// queue — byte-for-byte the same objects regardless of shard count. With
-// submit_shards == 1 the sequencing + enqueue step is serialized under a
-// mutex instead, reproducing the single-lock baseline for comparison.
+// Ingestion front end (DESIGN.md "Commit ingestion"): Submit is lock-free.
+// A write claims a slot in one MPSC ring, and the order of those claims is
+// the write sequence — Alg. 2's single submit queue. The Aggregator pops
+// the ring in that order, so batches hold exactly the writes
+// [batched, batched + B) in submission order, and the S/TS predicate reads
+// three atomics.
 #pragma once
 
 #include <atomic>
@@ -66,67 +63,12 @@ struct CommitPipelineStats {
   Counter blocked_waits;           // times a Submit had to block
   Counter upload_retries;
   Counter batches_closed_full;     // batches closed because B writes were ready
-  Counter batches_closed_deadline; // batches closed by TB / adaptive deadline
+  Counter batches_closed_deadline; // batches closed by the TB deadline
   Meter object_logical_bytes;      // pre-envelope object sizes
   // Per-write commit latency in model-time microseconds: Submit enqueue to
   // the write's batch being fully acknowledged by the cloud. Quantiles via
   // commit_latency_us.Snapshot().
   Histogram commit_latency_us;
-};
-
-// Chooses the batch-close deadline for adaptive group commit. The fixed TB
-// poll pays worst-case latency at every load level; following BtrLog's
-// observation that commit latency under group commit is dominated by batch
-// timing, this controller tracks the PUT round-trip R and the write arrival
-// rate λ (both EWMA) and closes batches to minimise expected commit latency
-// subject to the B cap:
-//
-//   * λ·R/K <= 1 (K uploaders keep up with singleton batches): deadline 0 —
-//     ship every write as soon as the aggregator sees it;
-//   * λ·R/K > 1 (uploads would queue): a batch must carry ~λ·R/K writes to
-//     sustain the arrival rate, which takes ~R/K to gather — so the
-//     deadline is R/K, capped at B writes and at the configured TB.
-//
-// TB remains a hard upper bound in all regimes. Thread-safe.
-class AdaptiveBatchController {
- public:
-  AdaptiveBatchController(std::size_t batch_cap, std::uint64_t tb_us,
-                          int uploader_threads);
-
-  // Round-trip of one successful PUT (model-time us), from the uploaders.
-  void RecordPutRtt(std::uint64_t rtt_us);
-  // Writes drained by the aggregator this round; call with count == 0 too,
-  // so the rate estimate decays while the pipeline idles.
-  void RecordArrivals(std::size_t count, std::uint64_t now_us);
-  // Upload-pipe state, sampled by the aggregator each pass: PUTs currently
-  // in flight. An idle pipe closes immediately. Never calling this
-  // (sentinel -1) preserves the original deadline rule.
-  void NoteUploadState(int inflight_puts);
-
-  // Micros since the last batch closed after which a partial batch ships;
-  // always <= TB. 0 = close as soon as anything is pending (also the cold
-  // start, before the first PUT round-trip is known).
-  std::uint64_t CloseDeadlineUs() const;
-  // The batch size the controller is currently steering toward, in [1, B].
-  std::size_t TargetBatch() const;
-
- private:
-  double TargetLocked() const;  // λ·R/K, unclamped; mu_ held
-
-  const std::size_t batch_cap_;
-  const std::uint64_t tb_us_;
-  const double uploaders_;
-
-  mutable std::mutex mu_;
-  double rtt_ewma_us_ = 0;
-  bool have_rtt_ = false;
-  double rate_ewma_ = 0;  // writes per microsecond
-  bool have_rate_ = false;
-  std::uint64_t last_arrival_us_ = 0;
-  std::size_t arrival_carry_ = 0;  // same-timestamp arrivals, folded forward
-
-  // Fed by NoteUploadState; -1 until the pipeline first reports.
-  std::atomic<int> inflight_{-1};
 };
 
 class CommitPipeline {
@@ -175,7 +117,7 @@ class CommitPipeline {
  private:
   static constexpr std::uint64_t kNoTrace = ~std::uint64_t{0};
 
-  // A submitted write plus its sequencer stamp and enqueue time.
+  // A submitted write plus its ring position and enqueue time.
   struct Slot {
     std::uint64_t seq = 0;
     std::uint64_t enqueue_us = 0;
@@ -232,16 +174,13 @@ class CommitPipeline {
   void ExecuteUploadJob(UploadJob job, RetryPolicy& retry, Bytes& framing,
                         Bytes& enveloped);
 
-  // Alg. 2's blocking predicate over the sequencer counters (lock-free).
+  // Alg. 2's blocking predicate over the submit counters (lock-free).
   bool ShouldBlock(std::uint64_t now_us) const;
   std::uint64_t Unconfirmed() const;
-  std::size_t ShardOf(const WalWrite& write) const;
 
-  // Aggregator internals. DrainShards returns the number of writes newly
-  // staged in submit order.
-  std::size_t DrainShards();
-  void PlaceInReorder(Slot slot);
-  void GrowReorder(std::uint64_t seq);
+  // Aggregator internals. DrainRing stages every published write in ring
+  // order.
+  void DrainRing();
   void FormBatch(std::size_t take, std::uint64_t now_us, bool closed_full);
   // Sleeps model-time micros in slices, aborting on Kill(); false if killed.
   bool SleepInterruptible(std::uint64_t micros);
@@ -268,8 +207,9 @@ class CommitPipeline {
   std::shared_ptr<Envelope> envelope_;
 
   // -- submit path (DBMS threads) --------------------------------------------
-  // Sequencer: seq of the next Submit == count of writes ever submitted.
-  std::atomic<std::uint64_t> submit_seq_{0};
+  // The one submit queue. A write's position in it is its seq, and
+  // ring_.Claimed() counts the writes ever submitted.
+  MpscRing<Slot> ring_;
   // Submit calls that have *returned* to the DBMS. The RPO-exposure gauge
   // is returned - completed: writes the database believes are committed but
   // the cloud has not yet confirmed — the writes a disaster would lose.
@@ -279,22 +219,18 @@ class CommitPipeline {
   // Writes whose batch has been fully acknowledged (consecutive prefix).
   std::atomic<std::uint64_t> completed_count_{0};
   // Enqueue time of the oldest drained-but-unacknowledged write, or
-  // kNoOldest. Writes still inside the shard rings are invisible here for
-  // at most ~one aggregator poll (1 ms) — negligible against TS.
+  // kNoOldest. Writes still inside the ring are invisible here for at most
+  // ~one aggregator poll (1 ms) — negligible against TS.
   std::atomic<std::uint64_t> oldest_pending_us_{kNoOldest};
   // Writes consumed into batches; published so Submit can cheaply decide
   // whether a full batch is pending and the aggregator needs a wakeup.
   std::atomic<std::uint64_t> batched_count_{0};
   // Clock sampled by the background threads (aggregator each pass, unlocker
-  // each ack), used for enqueue stamps on the sharded submit path instead
-  // of a per-Submit clock read. At most ~one poll interval stale, and never
-  // ahead of the real clock, so commit latencies stay non-negative and TS
-  // ages err toward blocking earlier. The shards == 1 baseline still reads
-  // the clock per Submit, as the old design did.
+  // each ack), used for enqueue stamps instead of a per-Submit clock read.
+  // At most ~one poll interval stale, and never ahead of the real clock, so
+  // commit latencies stay non-negative and TS ages err toward blocking
+  // earlier.
   std::atomic<std::uint64_t> coarse_now_us_{0};
-
-  std::vector<std::unique_ptr<MpscRing<Slot>>> shards_;
-  std::mutex legacy_mu_;  // serializes sequencing+enqueue when shards == 1
 
   std::atomic<bool> stopping_{false};
   std::atomic<bool> killed_{false};
@@ -307,16 +243,14 @@ class CommitPipeline {
   // True only while the aggregator is parked in wait_for. Submitters check
   // it before touching agg_mu_, so a sustained burst (backlog >= B the whole
   // time) pays at most one notify per aggregator sleep instead of taking a
-  // global mutex on every Submit — which would re-serialize the sharded
+  // global mutex on every Submit — which would serialize the lock-free
   // path. A missed wake (flag read just before the store) costs at most one
   // poll interval.
   std::atomic<bool> agg_idle_{false};
 
   // -- aggregator-private (no locks) -----------------------------------------
-  std::vector<Slot> reorder_;           // dense window indexed by seq
-  std::vector<char> reorder_filled_;
-  std::uint64_t reorder_base_ = 0;      // seq of the next write to stage
-  std::deque<Slot> staged_;             // dense prefix awaiting batch formation
+  std::uint64_t popped_ = 0;            // ring position of the next pop
+  std::deque<Slot> staged_;             // popped, awaiting batch formation
   CoalesceTable coalesce_;
   NameInterner names_;
   struct SurvivorRef {
@@ -327,7 +261,6 @@ class CommitPipeline {
   std::vector<SurvivorRef> survivors_;  // reused across batches
   std::uint64_t last_agg_time_us_ = 0;
   std::uint64_t next_batch_seq_ = 0;
-  std::unique_ptr<AdaptiveBatchController> adaptive_;  // null unless enabled
 
   // -- pending window (aggregator registers, unlocker retires) ---------------
   mutable std::mutex window_mu_;
@@ -347,10 +280,6 @@ class CommitPipeline {
   // Borrowed from config_.obs (which co-owns the bundle); null when the
   // pipeline runs unobserved.
   WriteTracer* tracer_ = nullptr;
-
-  // PUTs currently inside the retry loop, feeding
-  // AdaptiveBatchController::NoteUploadState.
-  std::atomic<int> inflight_puts_{0};
 
   // -- fleet mode (config_.runtime set) --------------------------------------
   // This tenant's queue in the shared DRR upload scheduler; null when

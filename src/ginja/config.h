@@ -31,17 +31,6 @@ struct GinjaConfig {
   // -- pipeline ----------------------------------------------------------------
   // Parallel Uploader threads; the paper's evaluation fixes 5 (§8).
   int uploader_threads = 5;
-  // Per-shard MPSC submit queues feeding the commit pipeline's aggregator.
-  // Concurrent DBMS threads contend only within a shard (writes hash by
-  // (file, page)); a global sequencer keeps batch formation identical
-  // across shard counts. 1 serializes sequencing+enqueue under a mutex —
-  // the single-lock baseline.
-  int submit_shards = 4;
-  // When true, the commit pipeline replaces the fixed TB batch-close poll
-  // with an adaptive deadline steered by the observed PUT round-trip and
-  // write arrival rate (see AdaptiveBatchController); TB stays the hard
-  // upper bound, so S/TS guarantees are unchanged.
-  bool adaptive_batching = false;
   // Objects are split at this size to optimise upload latency (§5.2 fn. 3).
   std::size_t max_object_bytes = 20 * 1024 * 1024;
   // Retry policy (model time) for failed cloud operations: jittered
@@ -120,9 +109,9 @@ struct GinjaConfig {
   }
 };
 
-// Sanity-checks the knobs whose zero values would make the pipelines hang
-// rather than fail: no uploader ever drains the queue, or no shard ever
-// accepts a write.
+// Sanity-checks the knobs whose values would make the pipelines hang or
+// misbehave rather than fail: no uploader ever drains the queue, or dump
+// chunks lose page alignment.
 // Called by Ginja::Boot/Reboot before any thread starts, so a bad config
 // is a clear error instead of a stuck database.
 inline Status ValidateGinjaConfig(const GinjaConfig& config) {
@@ -130,10 +119,6 @@ inline Status ValidateGinjaConfig(const GinjaConfig& config) {
     return Status::InvalidArgument(
         "uploader_threads must be >= 1 (0 uploads nothing and blocks every "
         "write at the S bound)");
-  }
-  if (config.submit_shards <= 0) {
-    return Status::InvalidArgument(
-        "submit_shards must be >= 1 (there would be no queue to submit to)");
   }
   if (config.dedup_dumps &&
       (config.dedup_chunk_bytes == 0 || config.dedup_chunk_bytes % 4096 != 0)) {

@@ -56,7 +56,7 @@ class DbIoProcessor : public FileEventListener {
 
   // Only the circular-log wrap-epoch bookkeeping needs a mutex; the
   // Postgres WAL path never takes it, so concurrent client threads reach
-  // the commit pipeline's sharded Submit without serializing here.
+  // the commit pipeline's lock-free Submit without serializing here.
   std::mutex wrap_mu_;
   std::uint64_t last_slot_ = 0;
   std::uint64_t epoch_ = 0;

@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <thread>
+#include <vector>
 
 #include "common/blocking_queue.h"
 #include "common/clock.h"
+#include "common/mpsc_queue.h"
 #include "common/rng.h"
 #include "common/stats.h"
 
@@ -83,6 +86,104 @@ TEST(BlockingQueue, ForcePutIgnoresCapacity) {
 }
 
 // -- Clock ------------------------------------------------------------------------
+
+// -- MpscRing -------------------------------------------------------------------
+
+TEST(MpscRing, FullRingRejectsAndLeavesItemUnmoved) {
+  MpscRing<std::unique_ptr<int>> ring(4);
+  ASSERT_EQ(ring.capacity(), 4u);
+  for (int i = 0; i < 4; ++i) {
+    auto item = std::make_unique<int>(i);
+    std::size_t pos = 99;
+    ASSERT_TRUE(ring.TryPush(item, &pos));
+    EXPECT_EQ(pos, static_cast<std::size_t>(i));
+    EXPECT_EQ(item, nullptr);  // moved into the ring
+  }
+  auto extra = std::make_unique<int>(42);
+  EXPECT_FALSE(ring.TryPush(extra));
+  ASSERT_NE(extra, nullptr);
+  EXPECT_EQ(*extra, 42);
+  EXPECT_EQ(ring.Claimed(), 4u);
+
+  // One pop frees one slot; the rejected item then goes in at position 4.
+  std::unique_ptr<int> out;
+  ASSERT_TRUE(ring.TryPop(out));
+  EXPECT_EQ(*out, 0);
+  std::size_t pos = 0;
+  ASSERT_TRUE(ring.TryPush(extra, &pos));
+  EXPECT_EQ(pos, 4u);
+  for (int want : {1, 2, 3, 42}) {
+    ASSERT_TRUE(ring.TryPop(out));
+    EXPECT_EQ(*out, want);
+  }
+  EXPECT_FALSE(ring.TryPop(out));
+}
+
+TEST(MpscRing, FifoAcrossWrapArounds) {
+  MpscRing<std::uint64_t> ring(8);
+  const std::size_t cap = ring.capacity();
+  std::uint64_t next_push = 0;
+  std::uint64_t next_pop = 0;
+  // Uneven push/pop bursts walk the head and tail around the ring at
+  // different phases, well past three full wraps.
+  while (next_pop < 5 * cap + 3) {
+    for (int k = 0; k < 5; ++k) {
+      std::uint64_t item = next_push;
+      std::size_t pos = 0;
+      if (!ring.TryPush(item, &pos)) break;
+      EXPECT_EQ(pos, next_push);
+      ++next_push;
+    }
+    for (int k = 0; k < 3; ++k) {
+      std::uint64_t out = 0;
+      if (!ring.TryPop(out)) break;
+      ASSERT_EQ(out, next_pop);
+      ++next_pop;
+    }
+  }
+  std::uint64_t out = 0;
+  while (ring.TryPop(out)) ASSERT_EQ(out, next_pop++);
+  EXPECT_EQ(next_pop, next_push);
+  EXPECT_EQ(ring.Claimed(), next_push);
+}
+
+// Eight producers race one consumer through a small ring (so producers
+// keep hitting a full ring): every item pops exactly once, and each
+// producer's items come out in the order it pushed them.
+TEST(MpscRing, ConcurrentProducersPopExactlyOnceInProducerOrder) {
+  constexpr int kProducers = 8;
+  constexpr std::uint64_t kPerProducer = 5'000;
+  MpscRing<std::uint64_t> ring(64);
+  std::vector<std::thread> producers;
+  for (int p = 0; p < kProducers; ++p) {
+    producers.emplace_back([&ring, p] {
+      for (std::uint64_t i = 0; i < kPerProducer; ++i) {
+        std::uint64_t item = (static_cast<std::uint64_t>(p) << 32) | i;
+        while (!ring.TryPush(item)) std::this_thread::yield();
+      }
+    });
+  }
+  std::vector<std::uint64_t> next(kProducers, 0);
+  std::uint64_t popped = 0;
+  while (popped < kProducers * kPerProducer) {
+    std::uint64_t item = 0;
+    if (!ring.TryPop(item)) {
+      std::this_thread::yield();
+      continue;
+    }
+    const auto p = static_cast<std::size_t>(item >> 32);
+    ASSERT_LT(p, next.size());
+    // In order and exactly once: the next index this producer owes.
+    ASSERT_EQ(item & 0xFFFFFFFFu, next[p]);
+    ++next[p];
+    ++popped;
+  }
+  for (auto& t : producers) t.join();
+  std::uint64_t item = 0;
+  EXPECT_FALSE(ring.TryPop(item));
+  for (std::uint64_t n : next) EXPECT_EQ(n, kPerProducer);
+  EXPECT_EQ(ring.Claimed(), kProducers * kPerProducer);
+}
 
 TEST(ManualClock, AdvanceWakesSleepers) {
   ManualClock clock;
