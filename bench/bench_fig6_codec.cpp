@@ -96,14 +96,14 @@ void RunCodecThroughput() {
       PutU64(out, nonce);
       Append(out, ByteView(mac.data(), mac.size()));
       Append(out, View(processed));
-      g_sink += out.size();
+      g_sink = g_sink + out.size();
     };
 
     Bytes out;
     const PayloadView view = OnePiece(View(payload));
     auto after = [&] {
       envelope.EncodeInto(view, ++nonce, out);
-      g_sink += out.size();
+      g_sink = g_sink + out.size();
     };
 
     const double before_mbps = MeasureMBps(before, size);

@@ -52,8 +52,8 @@ TransferManager::~TransferManager() {
   for (auto& t : workers_) {
     if (t.joinable()) t.join();
   }
-  // Fail whatever is still queued (only possible after Cancel raced new
-  // submissions, or when futures were dropped mid-shutdown).
+  // Fail whatever is still queued (only possible when futures were dropped
+  // mid-shutdown).
   for (auto& op : queue_) Fail(op, Status::Aborted("transfer manager destroyed"));
 }
 
@@ -107,15 +107,15 @@ bool TransferManager::Enqueue(Op op) {
   // WaitIdle cannot miss it; both outcomes (queued-then-executed, failed
   // here) settle it exactly once.
   if (op.account) op.account->OnEnqueue();
-  {
+  if (!op.account || !op.account->cancelled()) {
     std::lock_guard<std::mutex> lock(mu_);
-    if (!cancelled_.load(std::memory_order_acquire) && !stop_) {
+    if (!stop_) {
       queue_.push_back(std::move(op));
       cv_.notify_one();
       return true;
     }
   }
-  Fail(op, Status::Aborted("transfer manager cancelled"));
+  Fail(op, Status::Aborted("transfer cancelled"));
   return false;
 }
 
@@ -167,28 +167,15 @@ std::vector<Status> TransferManager::DeleteAll(
   return statuses;
 }
 
-void TransferManager::Cancel() {
-  std::deque<Op> orphans;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    cancelled_.store(true, std::memory_order_release);
-    orphans.swap(queue_);
-  }
-  cv_.notify_all();
-  for (auto& op : orphans) Fail(op, Status::Aborted("transfer manager cancelled"));
-}
-
 bool TransferManager::BackoffSleep(std::uint64_t micros,
                                    const TransferAccount* account) {
   while (micros > 0) {
-    if (cancelled_.load(std::memory_order_acquire)) return false;
     if (account && account->cancelled()) return false;
     const std::uint64_t slice = std::min(micros, kSleepSliceUs);
     clock_->SleepMicros(slice);
     micros -= slice;
   }
-  return !cancelled_.load(std::memory_order_acquire) &&
-         !(account && account->cancelled());
+  return !(account && account->cancelled());
 }
 
 void TransferManager::WorkerLoop() {
@@ -196,14 +183,8 @@ void TransferManager::WorkerLoop() {
     Op op;
     {
       std::unique_lock<std::mutex> lock(mu_);
-      cv_.wait(lock, [&] {
-        return stop_ || cancelled_.load(std::memory_order_acquire) ||
-               !queue_.empty();
-      });
-      if (queue_.empty()) {
-        if (stop_ || cancelled_.load(std::memory_order_acquire)) return;
-        continue;
-      }
+      cv_.wait(lock, [&] { return stop_ || !queue_.empty(); });
+      if (queue_.empty()) return;  // stopping
       op = std::move(queue_.front());
       queue_.pop_front();
     }
@@ -276,7 +257,6 @@ void TransferManager::Execute(Op& op) {
     }
     if (!RetryPolicy::Retryable(last.code()) ||
         attempt >= options_.max_attempts ||
-        cancelled_.load(std::memory_order_acquire) ||
         (op.account && op.account->cancelled())) {
       break;
     }

@@ -9,15 +9,17 @@
 // lives in a single place instead of per-call-site loops.
 //
 // Consumers in this repo:
-//   * Ginja::Recover keeps a window of K GETs in flight (prefetch);
+//   * Ginja::Recover and StandbyReplica keep a window of K GETs in flight
+//     (prefetch);
 //   * CheckpointPipeline PUTs the parts of a dump/checkpoint concurrently;
 //   * garbage collection fans DELETEs out through DeleteAll().
 //
 // Every *Async call returns a std::future fulfilled by a worker thread.
 // Dropping a future is safe: the operation still runs to completion (or is
-// failed by Cancel()). Cancel() is terminal — queued operations fail with
-// ABORTED, backoff sleeps are interrupted, and later submissions fail
-// immediately; it is the crash-simulation (Kill) path.
+// failed by its account's Cancel()). Cancellation is per TransferAccount:
+// each consumer bills its operations to its own account and cancels only
+// that account on its crash-simulation (Kill) path, whether the manager is
+// private to it or shared by a fleet.
 #pragma once
 
 #include <atomic>
@@ -87,15 +89,16 @@ class RetryPolicy {
   Counter* retries_;
 };
 
-// Per-tenant scope for operations submitted to a *shared* TransferManager.
-// A fleet runs one manager (one worker pool, one global in-flight window)
-// for all tenants; each tenant tags its operations with an account so that
-//   * usage is attributed (ops/bytes per tenant),
-//   * one tenant can be cancelled (its queued ops fail with ABORTED, its
-//     backoff sleeps are interrupted) without touching the others — the
-//     per-tenant analogue of TransferManager::Cancel(), and
-//   * a tenant's shutdown can WaitIdle() until none of its operations are
-//     queued or executing, without draining the whole pool.
+// One consumer's scope on a TransferManager. A fleet runs one manager (one
+// worker pool, one global in-flight window) for all tenants, and a
+// standalone instance runs a private one per component; either way each
+// consumer tags its operations with an account so that
+//   * usage is attributed (ops/bytes per account),
+//   * one consumer can be cancelled (its queued ops fail with ABORTED, its
+//     backoff sleeps are interrupted, its later submissions fail at once)
+//     without touching the others, and
+//   * a consumer's shutdown can WaitIdle() until none of its operations
+//     are queued or executing, without draining the whole pool.
 class TransferAccount {
  public:
   explicit TransferAccount(std::string id) : id_(std::move(id)) {}
@@ -104,7 +107,8 @@ class TransferAccount {
 
   // Terminal for this account only: queued operations fail with ABORTED
   // when a worker picks them up, in-flight retries stop at the next
-  // backoff check. Other accounts are unaffected.
+  // backoff check, and later submissions fail immediately. Other accounts
+  // are unaffected.
   void Cancel() {
     cancelled_.store(true, std::memory_order_release);
     std::lock_guard<std::mutex> lock(mu_);
@@ -158,11 +162,12 @@ class TransferAccount {
 
 using TransferAccountPtr = std::shared_ptr<TransferAccount>;
 
-// Routing for one submission on a shared manager: which store the
-// operation runs against (null = the manager's own store; a fleet tenant
-// passes its TenantNamespace-wrapped stack) and which account it bills
-// to (null = unaccounted). Default-constructed == the classic
-// single-tenant behaviour.
+// Routing for one submission: which store the operation runs against
+// (null = the manager's own store; a fleet tenant passes its
+// TenantNamespace-wrapped stack) and which account it bills to and is
+// cancelled through (null = unaccounted and never cancelled). Ginja's
+// components always route through an account (see BindTransfers in
+// ginja/fleet_runtime.h).
 struct TransferRoute {
   ObjectStorePtr store;
   TransferAccountPtr account;
@@ -228,11 +233,6 @@ class TransferManager {
   std::vector<Status> DeleteAll(TransferRoute route,
                                 const std::vector<std::string>& names);
 
-  // Terminal: fails queued operations with ABORTED, interrupts backoff
-  // sleeps, and makes subsequent submissions fail immediately.
-  void Cancel();
-  bool cancelled() const { return cancelled_.load(std::memory_order_acquire); }
-
   const TransferStats& stats() const { return stats_; }
   const TransferOptions& options() const { return options_; }
 
@@ -258,10 +258,10 @@ class TransferManager {
   // Fails the op and settles its account (exactly one of Fail/Execute
   // completes each enqueued op).
   static void Fail(Op& op, const Status& status);
-  // Sleeps `micros` of model time in small slices; false when the manager
-  // (or the op's account) is cancelled.
+  // Sleeps `micros` of model time in small slices; false when the op's
+  // account is cancelled.
   bool BackoffSleep(std::uint64_t micros, const TransferAccount* account);
-  bool Enqueue(Op op);  // false (op already failed) when cancelled
+  bool Enqueue(Op op);  // false (op already failed) when cancelled/stopping
 
   ObjectStorePtr store_;
   TransferOptions options_;
@@ -271,7 +271,6 @@ class TransferManager {
   std::condition_variable cv_;
   std::deque<Op> queue_;
   bool stop_ = false;
-  std::atomic<bool> cancelled_{false};
 
   std::vector<std::thread> workers_;
   TransferStats stats_;

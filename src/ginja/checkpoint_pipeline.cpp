@@ -7,7 +7,6 @@
 #include <set>
 #include <utility>
 
-#include "ginja/fleet_runtime.h"
 #include "obs/log.h"
 
 namespace ginja {
@@ -25,21 +24,9 @@ CheckpointPipeline::CheckpointPipeline(ObjectStorePtr store,
       envelope_(std::move(envelope)),
       local_vfs_(std::move(local_vfs)),
       layout_(layout),
+      transfers_(BindTransfers(config_, store_, clock_,
+                               config_.transfer_concurrency, "checkpoint")),
       chunk_index_(std::make_shared<ChunkIndex>()) {
-  if (config_.runtime) {
-    // Fleet mode: part PUTs and GC deletes run on the runtime's shared
-    // manager (which carries its own "fleet" metrics), billed to this
-    // tenant's account.
-    transfer_ = config_.runtime->transfers();
-    account_ = std::make_shared<TransferAccount>(config_.tenant_id);
-  } else {
-    transfer_ = std::make_shared<TransferManager>(
-        store_, MakeTransferOptions(config_, config_.transfer_concurrency),
-        clock_);
-    if (config_.obs) {
-      transfer_->RegisterMetrics(&config_.obs->registry, "checkpoint");
-    }
-  }
   if (config_.obs) {
     tracer_ = &config_.obs->tracer;
     RegisterMetrics();
@@ -49,35 +36,36 @@ CheckpointPipeline::CheckpointPipeline(ObjectStorePtr store,
 CheckpointPipeline::~CheckpointPipeline() {
   if (config_.obs) config_.obs->registry.Unregister(this);
   Kill();
-  // Fleet: the shared manager outlives this pipeline; wait out any of this
-  // account's operations still on the pool (Kill cancelled them, so queued
-  // ones fail fast) before members they reference are destroyed.
-  if (account_) account_->WaitIdle();
+  // Wait out this account's operations still on the manager (Kill
+  // cancelled them, so queued ones fail fast) before members they
+  // reference are destroyed; a shared manager outlives this pipeline.
+  transfers_.route.account->WaitIdle();
 }
 
 void CheckpointPipeline::RegisterMetrics() {
   MetricsRegistry& r = config_.obs->registry;
-  r.RegisterCounter(this, "ginja_checkpoint_checkpoints_uploaded_total", Labels(),
+  const MetricLabels labels = TenantLabels(config_);
+  r.RegisterCounter(this, "ginja_checkpoint_checkpoints_uploaded_total", labels,
                     &stats_.checkpoints_uploaded);
-  r.RegisterCounter(this, "ginja_checkpoint_dumps_uploaded_total", Labels(),
+  r.RegisterCounter(this, "ginja_checkpoint_dumps_uploaded_total", labels,
                     &stats_.dumps_uploaded);
-  r.RegisterCounter(this, "ginja_checkpoint_db_objects_uploaded_total", Labels(),
+  r.RegisterCounter(this, "ginja_checkpoint_db_objects_uploaded_total", labels,
                     &stats_.db_objects_uploaded);
-  r.RegisterCounter(this, "ginja_checkpoint_bytes_uploaded_total", Labels(),
+  r.RegisterCounter(this, "ginja_checkpoint_bytes_uploaded_total", labels,
                     &stats_.bytes_uploaded);
-  r.RegisterCounter(this, "ginja_gc_wal_objects_deleted_total", Labels(),
+  r.RegisterCounter(this, "ginja_gc_wal_objects_deleted_total", labels,
                     &stats_.wal_objects_deleted);
-  r.RegisterCounter(this, "ginja_gc_db_objects_deleted_total", Labels(),
+  r.RegisterCounter(this, "ginja_gc_db_objects_deleted_total", labels,
                     &stats_.db_objects_deleted);
-  r.RegisterCounter(this, "ginja_dedup_hit_bytes_total", Labels(),
+  r.RegisterCounter(this, "ginja_dedup_hit_bytes_total", labels,
                     &stats_.dedup_hit_bytes);
-  r.RegisterCounter(this, "ginja_dedup_miss_bytes_total", Labels(),
+  r.RegisterCounter(this, "ginja_dedup_miss_bytes_total", labels,
                     &stats_.dedup_miss_bytes);
-  r.RegisterCounter(this, "ginja_chunks_uploaded_total", Labels(),
+  r.RegisterCounter(this, "ginja_chunks_uploaded_total", labels,
                     &stats_.chunks_uploaded);
-  r.RegisterCounter(this, "ginja_chunks_deleted_total", Labels(),
+  r.RegisterCounter(this, "ginja_chunks_deleted_total", labels,
                     &stats_.chunks_deleted);
-  r.RegisterGauge(this, "ginja_checkpoint_inflight_jobs", Labels(), [this] {
+  r.RegisterGauge(this, "ginja_checkpoint_inflight_jobs", labels, [this] {
     std::lock_guard<std::mutex> lock(mu_);
     return static_cast<double>(inflight_jobs_);
   });
@@ -101,13 +89,9 @@ void CheckpointPipeline::Kill() {
   idle_cv_.notify_all();
   frontier_cv_.notify_all();
   // Abort queued/retrying transfers so the checkpointer's future waits
-  // resolve and the thread can observe killed_. On a shared fleet manager
-  // only this tenant's account is cancelled; other tenants keep running.
-  if (account_) {
-    account_->Cancel();
-  } else {
-    transfer_->Cancel();
-  }
+  // resolve and the thread can observe killed_. Only this pipeline's
+  // account is cancelled; other users of a shared manager keep running.
+  transfers_.route.account->Cancel();
   queue_.Close();
   if (thread_.joinable()) thread_.join();
 }
@@ -401,7 +385,8 @@ void CheckpointPipeline::CheckpointerLoop() {
       p.size = enveloped_size;
       p.submit_us = Tracing() ? clock_->NowMicros() : 0;
       p.trace_id = (seq << 16) | part;
-      p.status = transfer_->PutAsync(Route(), id.Encode(), std::move(enveloped));
+      p.status = transfers_.manager->PutAsync(transfers_.route, id.Encode(),
+                                              std::move(enveloped));
       inflight.push_back(std::move(p));
       ids.push_back(id);
     }
@@ -525,8 +510,8 @@ void CheckpointPipeline::ProcessDeltaDump(const DbObjectJob& job) {
     p.size = enveloped_size;
     p.ref = missing[k];
     p.submit_us = Tracing() ? clock_->NowMicros() : 0;
-    p.status = transfer_->PutAsync(
-        Route(), ChunkObjectId{ref.digest, ref.length}.Encode(),
+    p.status = transfers_.manager->PutAsync(
+        transfers_.route, ChunkObjectId{ref.digest, ref.length}.Encode(),
         std::move(enveloped));
     inflight.push_back(std::move(p));
   }
@@ -563,8 +548,10 @@ void CheckpointPipeline::ProcessDeltaDump(const DbObjectJob& job) {
   const std::uint64_t nonce = (1ull << 63) | (seq << 16);
   Bytes enveloped = envelope_->Encode(View(payload), nonce);
   const std::size_t enveloped_size = enveloped.size();
-  const Status st =
-      transfer_->PutAsync(Route(), id.Encode(), std::move(enveloped)).get();
+  const Status st = transfers_.manager
+                        ->PutAsync(transfers_.route, id.Encode(),
+                                   std::move(enveloped))
+                        .get();
   if (!st.ok()) {
     if (st.code() != ErrorCode::kAborted) {
       Log(LogLevel::kWarn, "checkpoint", "manifest upload failed",
@@ -578,7 +565,7 @@ void CheckpointPipeline::ProcessDeltaDump(const DbObjectJob& job) {
     // DELETE; if even that fails, assume the worst and pin its chunks
     // until a reboot rebuild reconciles against the bucket.
     const Status confirmed_absent =
-        transfer_->DeleteAll(Route(), {id.Encode()}).front();
+        transfers_.manager->DeleteAll(transfers_.route, {id.Encode()}).front();
     if (!confirmed_absent.ok()) chunk_index_->RegisterManifest(seq, refs);
     return;
   }
@@ -627,7 +614,7 @@ void CheckpointPipeline::GarbageCollect(const DbObjectJob& job,
   }
   const std::vector<Status> statuses =
       names.empty() ? std::vector<Status>{}
-                    : transfer_->DeleteAll(Route(), names);
+                    : transfers_.manager->DeleteAll(transfers_.route, names);
   std::size_t i = 0;
   std::size_t failed = 0;
   for (const auto& wal : wal_victims) {
@@ -674,7 +661,7 @@ void CheckpointPipeline::GarbageCollect(const DbObjectJob& job,
     chunk_names.reserve(dead.size());
     for (const auto& chunk : dead) chunk_names.push_back(chunk.Encode());
     const std::vector<Status> chunk_statuses =
-        transfer_->DeleteAll(Route(), chunk_names);
+        transfers_.manager->DeleteAll(transfers_.route, chunk_names);
     std::size_t chunk_failed = 0;
     for (std::size_t k = 0; k < dead.size(); ++k) {
       if (chunk_statuses[k].ok()) {

@@ -33,6 +33,7 @@
 #include "ginja/cloud_view.h"
 #include "ginja/config.h"
 #include "ginja/dedup.h"
+#include "ginja/fleet_runtime.h"
 #include "ginja/payload.h"
 #include "ginja/pitr.h"
 
@@ -142,20 +143,8 @@ class CheckpointPipeline {
   // and the MySQL redo log do not).
   bool CountsTowardDbSize(const std::string& path) const;
   void RegisterMetrics();
-  // {tenant=<id>} for a fleet member, empty standalone (see CommitPipeline).
-  MetricLabels Labels() const {
-    return config_.tenant_id.empty()
-               ? MetricLabels{}
-               : MetricLabels{{"tenant", config_.tenant_id}};
-  }
-  // Route for transfer operations: this pipeline's store, billed to the
-  // tenant's account in fleet mode.
-  TransferRoute Route() const { return {store_, account_}; }
-  // "Transfers were aborted": the whole manager standalone, just this
-  // tenant's account on a shared fleet manager.
-  bool Cancelled() const {
-    return account_ ? account_->cancelled() : transfer_->cancelled();
-  }
+  // "Transfers were aborted": this pipeline's account was cancelled.
+  bool Cancelled() const { return transfers_.route.account->cancelled(); }
   bool Tracing() const { return tracer_ != nullptr && tracer_->enabled(); }
 
   ObjectStorePtr store_;
@@ -165,14 +154,11 @@ class CheckpointPipeline {
   std::shared_ptr<Envelope> envelope_;
   VfsPtr local_vfs_;
   DbLayout layout_;
-  // Concurrent part PUTs and GC DELETE fan-out; shared retry policy
-  // (jittered exponential backoff) instead of the old fixed-delay loop.
-  // Privately owned standalone; aliases the fleet runtime's shared manager
-  // when config_.runtime is set (ops then carry Route()).
-  std::shared_ptr<TransferManager> transfer_;
-  // Fleet mode only: scopes Kill() cancellation and destructor quiescence
-  // to this tenant's operations on the shared manager.
-  TransferAccountPtr account_;
+  // Concurrent part PUTs and GC DELETE fan-out with the shared retry
+  // policy, billed to this pipeline's account (which scopes Kill()
+  // cancellation and destructor quiescence). Private standalone, the fleet
+  // runtime's manager when config_.runtime is set.
+  TransferBinding transfers_;
   std::shared_ptr<RetentionPolicy> retention_;
   std::shared_ptr<ChunkIndex> chunk_index_;
   std::function<Lsn()> wal_frontier_fn_;

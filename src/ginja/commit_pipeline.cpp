@@ -15,8 +15,6 @@ namespace {
 constexpr auto kPollInterval = std::chrono::milliseconds(1);
 // Slice length for kill-interruptible backoff sleeps (model time).
 constexpr std::uint64_t kSleepSliceUs = 20'000;
-// Decorrelates the uploaders' jitter streams (golden-ratio increment).
-constexpr std::uint64_t kSeedStride = 0x9E3779B97F4A7C15ull;
 }  // namespace
 
 CommitPipeline::CommitPipeline(ObjectStorePtr store,
@@ -33,58 +31,46 @@ CommitPipeline::CommitPipeline(ObjectStorePtr store,
       // that Submit backpressures by spinning, which S-blocking normally
       // prevents from ever happening.
       ring_(std::min<std::size_t>(config_.safety + config_.batch + 64,
-                                  65536)) {
+                                  65536)),
+      retry_(MakeTransferOptions(config_, 1), &stats_.upload_retries) {
   last_agg_time_us_ = clock_->NowMicros();
   coarse_now_us_.store(last_agg_time_us_, std::memory_order_release);
   if (config_.obs) {
     tracer_ = &config_.obs->tracer;
     RegisterMetrics();
   }
-  if (config_.runtime) {
-    // Fleet mode: no private uploaders. Upload jobs go to the runtime's DRR
-    // scheduler (registered at Start), and one thread-safe retry policy
-    // serves every shared worker that picks up this tenant's jobs.
-    fleet_retry_ = std::make_unique<RetryPolicy>(MakeTransferOptions(config_, 1),
-                                                 &stats_.upload_retries);
-  }
 }
 
 CommitPipeline::~CommitPipeline() {
   if (config_.obs) config_.obs->registry.Unregister(this);
   Kill();
-  // Fleet mode: the scheduler outlives this pipeline, so no queued job may
-  // still reference it. Stop()/Kill() normally deregistered already.
-  if (sched_tenant_ != nullptr) {
-    config_.runtime->scheduler().Deregister(sched_tenant_,
-                                            /*discard_queued=*/true);
-    sched_tenant_ = nullptr;
-  }
 }
 
 void CommitPipeline::RegisterMetrics() {
   MetricsRegistry& r = config_.obs->registry;
-  r.RegisterCounter(this, "ginja_commit_writes_submitted_total", Labels(),
+  const MetricLabels labels = TenantLabels(config_);
+  r.RegisterCounter(this, "ginja_commit_writes_submitted_total", labels,
                     &stats_.writes_submitted);
-  r.RegisterCounter(this, "ginja_commit_batches_uploaded_total", Labels(),
+  r.RegisterCounter(this, "ginja_commit_batches_uploaded_total", labels,
                     &stats_.batches_uploaded);
-  r.RegisterCounter(this, "ginja_commit_objects_uploaded_total", Labels(),
+  r.RegisterCounter(this, "ginja_commit_objects_uploaded_total", labels,
                     &stats_.objects_uploaded);
-  r.RegisterCounter(this, "ginja_commit_bytes_uploaded_total", Labels(),
+  r.RegisterCounter(this, "ginja_commit_bytes_uploaded_total", labels,
                     &stats_.bytes_uploaded);
-  r.RegisterCounter(this, "ginja_commit_blocked_waits_total", Labels(),
+  r.RegisterCounter(this, "ginja_commit_blocked_waits_total", labels,
                     &stats_.blocked_waits);
-  r.RegisterCounter(this, "ginja_commit_upload_retries_total", Labels(),
+  r.RegisterCounter(this, "ginja_commit_upload_retries_total", labels,
                     &stats_.upload_retries);
-  r.RegisterCounter(this, "ginja_commit_batches_closed_full_total", Labels(),
+  r.RegisterCounter(this, "ginja_commit_batches_closed_full_total", labels,
                     &stats_.batches_closed_full);
-  r.RegisterCounter(this, "ginja_commit_batches_closed_deadline_total", Labels(),
+  r.RegisterCounter(this, "ginja_commit_batches_closed_deadline_total", labels,
                     &stats_.batches_closed_deadline);
-  r.RegisterMeter(this, "ginja_commit_object_logical_bytes", Labels(),
+  r.RegisterMeter(this, "ginja_commit_object_logical_bytes", labels,
                   &stats_.object_logical_bytes);
-  r.RegisterHistogram(this, "ginja_commit_latency_us", Labels(),
+  r.RegisterHistogram(this, "ginja_commit_latency_us", labels,
                       &stats_.commit_latency_us);
   // -- DR exposure gauges (the paper's loss bound, live) ---------------------
-  r.RegisterGauge(this, "ginja_rpo_exposure_writes", Labels(), [this] {
+  r.RegisterGauge(this, "ginja_rpo_exposure_writes", labels, [this] {
     const std::uint64_t completed =
         completed_count_.load(std::memory_order_acquire);
     const std::uint64_t returned =
@@ -94,37 +80,44 @@ void CommitPipeline::RegisterMetrics() {
     return completed >= returned ? 0.0
                                  : static_cast<double>(returned - completed);
   });
-  r.RegisterGauge(this, "ginja_rpo_limit_writes", Labels(), [this] {
+  r.RegisterGauge(this, "ginja_rpo_limit_writes", labels, [this] {
     return static_cast<double>(config_.safety);
   });
-  r.RegisterGauge(this, "ginja_unconfirmed_writes", Labels(), [this] {
+  r.RegisterGauge(this, "ginja_unconfirmed_writes", labels, [this] {
     return static_cast<double>(Unconfirmed());
   });
-  r.RegisterGauge(this, "ginja_oldest_unacked_age_us", Labels(), [this] {
+  r.RegisterGauge(this, "ginja_oldest_unacked_age_us", labels, [this] {
     const std::uint64_t oldest =
         oldest_pending_us_.load(std::memory_order_acquire);
     if (oldest == kNoOldest) return 0.0;
     const std::uint64_t now = coarse_now_us_.load(std::memory_order_acquire);
     return now > oldest ? static_cast<double>(now - oldest) : 0.0;
   });
-  r.RegisterGauge(this, "ginja_wal_frontier_lsn", Labels(), [this] {
+  r.RegisterGauge(this, "ginja_wal_frontier_lsn", labels, [this] {
     return static_cast<double>(frontier_lsn_.load(std::memory_order_acquire));
   });
 }
 
 void CommitPipeline::Start() {
-  threads_.emplace_back([this] { AggregatorLoop(); });
+  // Uploads run on scheduler workers; only the control threads (aggregator,
+  // unlocker) are this pipeline's own.
   if (config_.runtime) {
-    // Fleet mode: uploads run on the runtime's shared worker pool, DRR-
-    // scheduled across tenants; only the per-tenant control threads
-    // (aggregator, unlocker) are private.
-    sched_tenant_ = config_.runtime->scheduler().Register(config_.tenant_id);
+    scheduler_ = &config_.runtime->scheduler();
   } else {
-    for (int i = 0; i < config_.uploader_threads; ++i) {
-      threads_.emplace_back([this, i] { UploaderLoop(i); });
-    }
+    own_scheduler_ = std::make_unique<UploadScheduler>(
+        UploadScheduler::Options{.threads = config_.uploader_threads});
+    scheduler_ = own_scheduler_.get();
   }
+  sched_tenant_ = scheduler_->Register(config_.tenant_id);
+  threads_.emplace_back([this] { AggregatorLoop(); });
   threads_.emplace_back([this] { UnlockerLoop(); });
+}
+
+void CommitPipeline::DeregisterUploads(bool discard_queued) {
+  if (sched_tenant_ == nullptr) return;
+  scheduler_->Deregister(sched_tenant_, discard_queued);
+  sched_tenant_ = nullptr;
+  own_scheduler_.reset();  // joins the private workers, now idle
 }
 
 void CommitPipeline::Stop() {
@@ -134,7 +127,6 @@ void CommitPipeline::Stop() {
   }
   agg_cv_.notify_all();
   Drain();
-  upload_queue_.Close();
   ack_queue_.Close();
   {
     std::lock_guard<std::mutex> lock(block_mu_);
@@ -144,14 +136,9 @@ void CommitPipeline::Stop() {
     if (t.joinable()) t.join();
   }
   threads_.clear();
-  // Fleet: every batch retired means the scheduler queue is empty; a clean
-  // deregistration just waits out any job still finishing on a shared
-  // worker. After the aggregator joined, nothing can enqueue again.
-  if (sched_tenant_ != nullptr) {
-    config_.runtime->scheduler().Deregister(sched_tenant_,
-                                            /*discard_queued=*/false);
-    sched_tenant_ = nullptr;
-  }
+  // Every batch retired means the scheduler queue is empty; a clean
+  // deregistration just waits out any job still finishing on a worker.
+  DeregisterUploads(/*discard_queued=*/false);
 }
 
 void CommitPipeline::Kill() {
@@ -170,21 +157,15 @@ void CommitPipeline::Kill() {
     std::lock_guard<std::mutex> lock(block_mu_);
   }
   unblock_cv_.notify_all();
-  upload_queue_.Close();
   ack_queue_.Close();
   for (auto& t : threads_) {
     if (t.joinable()) t.join();
   }
   threads_.clear();
   // Drop queued upload jobs unrun (the crash abandons them) and wait out
-  // the ones a shared worker is already executing — they observe killed_
-  // and bail at their next check. Must follow the aggregator join: a live
-  // aggregator could enqueue into a deregistered (freed) tenant handle.
-  if (sched_tenant_ != nullptr) {
-    config_.runtime->scheduler().Deregister(sched_tenant_,
-                                            /*discard_queued=*/true);
-    sched_tenant_ = nullptr;
-  }
+  // the ones a worker is already executing — they observe killed_ and bail
+  // at their next check.
+  DeregisterUploads(/*discard_queued=*/true);
 }
 
 std::uint64_t CommitPipeline::Unconfirmed() const {
@@ -489,42 +470,21 @@ bool CommitPipeline::SleepInterruptible(std::uint64_t micros) {
   return !killed_.load(std::memory_order_acquire);
 }
 
-void CommitPipeline::UploaderLoop(int index) {
-  // Each uploader draws backoffs from the shared RetryPolicy schedule with
-  // its own decorrelated jitter stream, and reuses its framing/envelope
-  // buffers across jobs (EncodeInto clears but keeps capacity), so a
-  // steady-state uploader stops allocating altogether.
-  TransferOptions retry_options = MakeTransferOptions(config_, 1);
-  retry_options.seed += kSeedStride * static_cast<std::uint64_t>(index + 1);
-  RetryPolicy retry(retry_options, &stats_.upload_retries);
-  Bytes framing;
-  Bytes enveloped;
-  while (auto job = upload_queue_.Take()) {
-    ExecuteUploadJob(std::move(*job), retry, framing, enveloped);
-  }
-}
-
 void CommitPipeline::EnqueueUpload(UploadJob job) {
-  if (sched_tenant_ == nullptr) {
-    upload_queue_.Put(std::move(job));
-    return;
-  }
-  // Fleet: the DRR cost is the job's logical payload bytes — what the PUT
-  // path actually pays for. Boxed because std::function requires a
-  // copyable target and the job owns the write buffers (moved, never
-  // copied).
+  // The DRR cost is the job's logical payload bytes — what the PUT path
+  // actually pays for. Boxed because std::function requires a copyable
+  // target and the job owns the write buffers (moved, never copied).
   std::size_t cost = 0;
   for (const Bytes& d : job.data) cost += d.size();
   auto boxed = std::make_shared<UploadJob>(std::move(job));
-  config_.runtime->scheduler().Enqueue(
-      sched_tenant_, cost, [this, boxed](UploadScratch& scratch) {
-        ExecuteUploadJob(std::move(*boxed), *fleet_retry_, scratch.framing,
-                         scratch.enveloped);
-      });
+  scheduler_->Enqueue(sched_tenant_, cost,
+                      [this, boxed](UploadScratch& scratch) {
+                        ExecuteUploadJob(std::move(*boxed), scratch);
+                      });
 }
 
-void CommitPipeline::ExecuteUploadJob(UploadJob job, RetryPolicy& retry,
-                                      Bytes& framing, Bytes& enveloped) {
+void CommitPipeline::ExecuteUploadJob(UploadJob job, UploadScratch& scratch) {
+  Bytes& enveloped = scratch.enveloped;
   const bool traced = job.trace_seq != kNoTrace && Tracing();
   std::uint64_t t_encode = 0;
   if (traced) {
@@ -532,7 +492,7 @@ void CommitPipeline::ExecuteUploadJob(UploadJob job, RetryPolicy& retry,
     tracer_->Record(TraceStage::kEncodeQueue, job.trace_seq, job.close_us,
                     t_encode >= job.close_us ? t_encode - job.close_us : 0);
   }
-  const PayloadView payload = EncodeEntriesView(job.entries, framing);
+  const PayloadView payload = EncodeEntriesView(job.entries, scratch.framing);
   stats_.object_logical_bytes.Record(static_cast<double>(payload.size()));
   envelope_->EncodeInto(payload, job.nonce, enveloped);
   if (traced) {
@@ -544,7 +504,7 @@ void CommitPipeline::ExecuteUploadJob(UploadJob job, RetryPolicy& retry,
   std::uint64_t first_attempt_us = 0;
   std::uint64_t put_end_us = 0;
   Status last_status = Status::Ok();
-  for (int attempt = 1; attempt <= retry.max_attempts(); ++attempt) {
+  for (int attempt = 1; attempt <= retry_.max_attempts(); ++attempt) {
     if (attempt == 1) first_attempt_us = clock_->NowMicros();
     Status st = store_->Put(job.name, View(enveloped));
     if (st.ok()) {
@@ -554,11 +514,11 @@ void CommitPipeline::ExecuteUploadJob(UploadJob job, RetryPolicy& retry,
     }
     last_status = st;
     if (killed_.load(std::memory_order_acquire) ||
-        attempt >= retry.max_attempts() ||
+        attempt >= retry_.max_attempts() ||
         !RetryPolicy::Retryable(st.code())) {
       break;
     }
-    if (!SleepInterruptible(retry.NextBackoffUs(attempt))) break;
+    if (!SleepInterruptible(retry_.NextBackoffUs(attempt))) break;
   }
   if (uploaded) {
     stats_.objects_uploaded.Add();

@@ -7,6 +7,11 @@
 // window *in timestamp order* as their uploads are acknowledged, which is
 // what bounds data loss to S even with out-of-order parallel uploads.
 //
+// The Uploaders are an UploadScheduler's workers: the fleet runtime's
+// shared DRR scheduler when config.runtime is set, else a private one of
+// `uploader_threads` workers with this pipeline as its only tenant (a
+// fleet of one). Either way each WAL object is one upload job.
+//
 // A write blocks (stalling the DBMS inside its intercepted syscall) while
 // more than S writes are unconfirmed, or while the oldest unconfirmed
 // write has been pending longer than TS.
@@ -160,19 +165,20 @@ class CommitPipeline {
   };
 
   void AggregatorLoop();
-  void UploaderLoop(int index);
   void UnlockerLoop();
 
-  // Hands a formed job to the upload path: the private upload_queue_ when
-  // standalone, the fleet runtime's DRR scheduler (under this tenant's
-  // queue, weighted by the job's logical bytes) when config_.runtime is
-  // set.
+  // Hands a formed job to this pipeline's queue in the upload scheduler,
+  // weighted by the job's logical bytes.
   void EnqueueUpload(UploadJob job);
-  // One upload job end to end (encode → PUT → ack); the body the
-  // standalone UploaderLoop runs per job and the fleet scheduler runs on a
-  // shared worker. `retry` must be thread-safe when shared across workers.
-  void ExecuteUploadJob(UploadJob job, RetryPolicy& retry, Bytes& framing,
-                        Bytes& enveloped);
+  // One upload job end to end (encode → PUT → ack), run on a scheduler
+  // worker with that worker's reusable buffers.
+  void ExecuteUploadJob(UploadJob job, UploadScratch& scratch);
+  // Removes this pipeline's scheduler queue, then joins a private
+  // scheduler's workers: the one shutdown path of the upload side.
+  // `discard_queued` drops queued jobs unrun (Kill); either way it returns
+  // once no job of this pipeline is running. Must follow the aggregator's
+  // join, so nothing enqueues into a freed queue.
+  void DeregisterUploads(bool discard_queued);
 
   // Alg. 2's blocking predicate over the submit counters (lock-free).
   bool ShouldBlock(std::uint64_t now_us) const;
@@ -186,16 +192,8 @@ class CommitPipeline {
   bool SleepInterruptible(std::uint64_t micros);
 
   // Registers stats + DR-exposure gauges into config_.obs (no-op when the
-  // config carries no observability bundle).
+  // config carries no observability bundle), labelled by TenantLabels.
   void RegisterMetrics();
-  // Per-tenant label set for every registered series: {tenant=<id>} for a
-  // fleet member, empty standalone — so a shared fleet registry keeps each
-  // tenant's RPO/latency series distinct.
-  MetricLabels Labels() const {
-    return config_.tenant_id.empty()
-               ? MetricLabels{}
-               : MetricLabels{{"tenant", config_.tenant_id}};
-  }
   bool Tracing() const { return tracer_ != nullptr && tracer_->enabled(); }
 
   static constexpr std::uint64_t kNoOldest = ~std::uint64_t{0};
@@ -267,7 +265,6 @@ class CommitPipeline {
   std::deque<Batch> batches_;                 // in seq order
   std::deque<std::uint64_t> pending_times_;   // enqueue times, seq order
 
-  BlockingQueue<UploadJob> upload_queue_;
   BlockingQueue<Ack> ack_queue_;
 
   std::vector<std::thread> threads_;
@@ -281,13 +278,18 @@ class CommitPipeline {
   // pipeline runs unobserved.
   WriteTracer* tracer_ = nullptr;
 
-  // -- fleet mode (config_.runtime set) --------------------------------------
-  // This tenant's queue in the shared DRR upload scheduler; null when
-  // standalone (private uploader threads) or after deregistration.
+  // -- upload executor ---------------------------------------------------------
+  // The private scheduler of a pipeline without config_.runtime, alive
+  // from Start() to Stop()/Kill(); null in a fleet.
+  std::unique_ptr<UploadScheduler> own_scheduler_;
+  // The runtime's scheduler or own_scheduler_; set by Start().
+  UploadScheduler* scheduler_ = nullptr;
+  // This pipeline's queue in scheduler_; null before Start() and after
+  // deregistration.
   UploadScheduler::Tenant* sched_tenant_ = nullptr;
-  // Shared retry schedule for fleet upload jobs (thread-safe); standalone
-  // uploaders keep their per-thread decorrelated policies.
-  std::unique_ptr<RetryPolicy> fleet_retry_;
+  // One retry schedule for every upload job, whichever worker runs it
+  // (RetryPolicy is thread-safe).
+  RetryPolicy retry_;
 };
 
 }  // namespace ginja

@@ -29,15 +29,17 @@ struct GinjaConfig {
   std::uint64_t safety_timeout_us = 10'000'000;
 
   // -- pipeline ----------------------------------------------------------------
-  // Parallel Uploader threads; the paper's evaluation fixes 5 (§8).
+  // Parallel Uploader threads; the paper's evaluation fixes 5 (§8). Sizes
+  // the private upload scheduler of an instance without a `runtime` (the
+  // fleet's shared pool is sized by FleetRuntime::Options instead).
   int uploader_threads = 5;
   // Objects are split at this size to optimise upload latency (§5.2 fn. 3).
   std::size_t max_object_bytes = 20 * 1024 * 1024;
   // Retry policy (model time) for failed cloud operations: jittered
   // exponential backoff starting at retry_backoff_us, multiplied per
   // attempt up to retry_backoff_max_us. One RetryPolicy schedule is shared
-  // by every TransferManager consumer and the commit pipeline's uploaders
-  // (each uploader derives a decorrelated jitter seed from its index).
+  // by every TransferManager consumer, and the commit pipeline's upload
+  // jobs draw from one thread-safe policy whichever worker runs them.
   std::uint64_t retry_backoff_us = 200'000;
   int max_retries = 100;
   double retry_backoff_multiplier = 2.0;
@@ -84,16 +86,18 @@ struct GinjaConfig {
 
   // -- fleet ------------------------------------------------------------------------
   // Shared fleet resources (uploader pool with DRR scheduling, one
-  // TransferManager, one CodecPool, one obs bundle). When set, this
-  // instance spawns no uploader or transfer threads of its own: upload
-  // jobs go to the runtime's deficit-round-robin scheduler under
-  // `tenant_id`, and checkpoint/GC transfers run on the shared
-  // manager billed to a per-tenant TransferAccount. B/S/TB semantics stay
-  // per-instance. Normally injected by GinjaFleet::AddTenant, which also
-  // wraps the store in a TenantNamespace.
+  // TransferManager, one CodecPool, one obs bundle). Every instance runs
+  // the same code path: upload jobs go to a deficit-round-robin scheduler
+  // and checkpoint/GC/recovery transfers are billed to a TransferAccount
+  // on a TransferManager. When set, the scheduler and manager are the
+  // runtime's; when null, the instance is a fleet of one and owns private
+  // ones (see ginja/fleet_runtime.h). B/S/TB semantics stay per-instance.
+  // Normally injected by GinjaFleet::AddTenant, which also wraps the store
+  // in a TenantNamespace.
   std::shared_ptr<FleetRuntime> runtime;
-  // Label for per-tenant metric series (tenant=<id>) and the scheduler
-  // queue; empty means a standalone (non-fleet) instance.
+  // Label for per-tenant metric series (tenant=<id>, see TenantLabels) and
+  // the scheduler queue; empty for a standalone instance, whose series
+  // carry no tenant label.
   std::string tenant_id;
 
   // -- point-in-time recovery (§5.4) ----------------------------------------------
@@ -127,6 +131,15 @@ inline Status ValidateGinjaConfig(const GinjaConfig& config) {
         "boundaries must stay page-aligned or churn detection degrades)");
   }
   return Status::Ok();
+}
+
+// The label set every per-instance metric series carries: {tenant=<id>}
+// for a fleet member, so a shared registry keeps each tenant's series
+// distinct, and no label for a standalone instance.
+inline MetricLabels TenantLabels(const GinjaConfig& config) {
+  return config.tenant_id.empty()
+             ? MetricLabels{}
+             : MetricLabels{{"tenant", config.tenant_id}};
 }
 
 // Maps the config's retry knobs onto a TransferManager's options with the

@@ -203,4 +203,32 @@ FleetRuntime::FleetRuntime(ObjectStorePtr base_store,
 
 FleetRuntime::~FleetRuntime() = default;
 
+std::shared_ptr<CodecPool> CodecPoolFor(const GinjaConfig& config) {
+  if (config.runtime && config.runtime->codec_pool()) {
+    return config.runtime->codec_pool();
+  }
+  return config.codec_threads > 1
+             ? std::make_shared<CodecPool>(config.codec_threads)
+             : nullptr;
+}
+
+TransferBinding BindTransfers(const GinjaConfig& config, ObjectStorePtr store,
+                              std::shared_ptr<Clock> clock, int concurrency,
+                              const std::string& component) {
+  TransferBinding binding;
+  if (config.runtime) {
+    binding.manager = config.runtime->transfers();
+  } else {
+    binding.manager = std::make_shared<TransferManager>(
+        store, MakeTransferOptions(config, concurrency), std::move(clock));
+    if (config.obs) {
+      binding.manager->RegisterMetrics(&config.obs->registry, component);
+    }
+  }
+  binding.route.store = std::move(store);
+  binding.route.account = std::make_shared<TransferAccount>(
+      config.tenant_id.empty() ? component : config.tenant_id);
+  return binding;
+}
+
 }  // namespace ginja

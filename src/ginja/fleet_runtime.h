@@ -19,6 +19,10 @@
 // Per-tenant state (B/S/TB knobs, pending window, CloudView, namespaced
 // store) stays inside each Ginja; only execution resources are shared, so
 // S/TS blocking semantics remain per-tenant exact.
+//
+// A standalone instance is a fleet of one: it runs the same scheduler and
+// account-scoped transfer code on private pools. CodecPoolFor and
+// BindTransfers (below) are the one place that picks shared or private.
 #pragma once
 
 #include <atomic>
@@ -38,13 +42,14 @@
 #include "common/clock.h"
 #include "common/codec/codec_pool.h"
 #include "common/stats.h"
+#include "ginja/config.h"
 #include "obs/obs.h"
 
 namespace ginja {
 
-// Per-worker reusable buffers handed to each upload job, replacing the
-// per-uploader-thread framing/envelope buffers of the standalone
-// pipeline. Capacity amortizes across jobs from every tenant.
+// Per-worker reusable buffers handed to each upload job. Capacity
+// amortizes across jobs from every tenant, so a steady-state worker stops
+// allocating.
 struct UploadScratch {
   Bytes framing;
   Bytes enveloped;
@@ -65,11 +70,12 @@ struct UploadScratch {
 //   * slot fairness: with A tenants backlogged, one tenant may occupy at
 //     most ceil(threads / A) workers at once, so a single tenant can
 //     never hold every worker while another has work ready. With one
-//     active tenant the cap is the whole pool — a 1-tenant fleet behaves
-//     exactly like the standalone uploader pool.
+//     active tenant the cap is the whole pool: Alg. 2's N parallel
+//     uploaders, which is how a standalone pipeline uses its private
+//     scheduler.
 //
 // Jobs of one tenant start in FIFO order (they may complete out of order
-// across workers, exactly like the standalone pipeline's N uploaders).
+// across workers).
 class UploadScheduler {
  public:
   struct Options {
@@ -208,5 +214,27 @@ class FleetRuntime {
   std::shared_ptr<TransferManager> transfers_;
   UploadScheduler scheduler_;
 };
+
+// The codec pool for an instance's envelope work: the runtime's shared
+// pool when it has one, else a private pool of config.codec_threads
+// workers, else null (serial codec) when codec_threads <= 1.
+std::shared_ptr<CodecPool> CodecPoolFor(const GinjaConfig& config);
+
+// One component's transfer path: the manager its operations run on and
+// the route every submission carries.
+struct TransferBinding {
+  std::shared_ptr<TransferManager> manager;
+  TransferRoute route;  // {store, a fresh account of this component}
+};
+
+// With config.runtime, the runtime's shared manager (metrics under
+// component="fleet"); without, a private manager over `store` keeping
+// `concurrency` operations in flight, its ginja_transfer_* series
+// registered in config.obs (when set) under component=<component>. Either
+// way the route targets `store` and bills a fresh TransferAccount, named
+// after the tenant or else the component, that the caller cancels on Kill.
+TransferBinding BindTransfers(const GinjaConfig& config, ObjectStorePtr store,
+                              std::shared_ptr<Clock> clock, int concurrency,
+                              const std::string& component);
 
 }  // namespace ginja

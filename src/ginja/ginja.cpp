@@ -5,7 +5,6 @@
 #include <future>
 #include <map>
 
-#include "common/codec/codec_pool.h"
 #include "db/wal.h"
 #include "ginja/fleet_runtime.h"
 #include "ginja/payload.h"
@@ -33,13 +32,7 @@ Ginja::Ginja(VfsPtr local_vfs, ObjectStorePtr store,
     config_.obs = config_.runtime ? config_.runtime->obs()
                                   : std::make_shared<Observability>(config_.trace);
   }
-  if (config_.runtime && config_.runtime->codec_pool()) {
-    codec_pool_ = config_.runtime->codec_pool();  // one pool for the fleet
-    envelope_->SetCodecPool(codec_pool_);
-  } else if (config_.codec_threads > 1) {
-    codec_pool_ = std::make_shared<CodecPool>(config_.codec_threads);
-    envelope_->SetCodecPool(codec_pool_);
-  }
+  envelope_->SetCodecPool(CodecPoolFor(config_));
   commits_ = std::make_unique<CommitPipeline>(store_, view_, clock_, config_,
                                               envelope_);
   checkpoints_ = std::make_unique<CheckpointPipeline>(
@@ -53,10 +46,8 @@ Ginja::Ginja(VfsPtr local_vfs, ObjectStorePtr store,
   commits_->SetFrontierListener([this] { checkpoints_->NotifyFrontier(); });
   processor_ = std::make_unique<DbIoProcessor>(layout_, commits_.get(),
                                                checkpoints_.get());
-  MetricLabels labels;
-  if (!config_.tenant_id.empty()) labels = {{"tenant", config_.tenant_id}};
   config_.obs->registry.RegisterGauge(
-      this, "ginja_unclassified_events", std::move(labels),
+      this, "ginja_unclassified_events", TenantLabels(config_),
       [this] { return static_cast<double>(processor_->unclassified_events()); });
 }
 
@@ -207,11 +198,7 @@ Status Ginja::Recover(ObjectStorePtr store, const GinjaConfig& config,
   const std::uint64_t started_at = clock ? clock->NowMicros() : 0;
 
   Envelope envelope(config.envelope);
-  std::shared_ptr<CodecPool> codec_pool;
-  if (config.codec_threads > 1) {
-    codec_pool = std::make_shared<CodecPool>(config.codec_threads);
-    envelope.SetCodecPool(codec_pool);
-  }
+  envelope.SetCodecPool(CodecPoolFor(config));
 
   auto objects = store->List("");
   if (!objects.ok()) return objects.status();
@@ -227,26 +214,14 @@ Status Ginja::Recover(ObjectStorePtr store, const GinjaConfig& config,
   TailPlan plan = BuildTailPlan(*objects, up_to_ts);
   r.found_dump = plan.found_dump;
 
-  std::shared_ptr<TransferManager> owned_transfers;
-  TransferRoute route;
-  if (config.runtime) {
-    // Fleet recovery reuses the shared worker pool: GETs route to this
-    // tenant's (namespaced) store and bill a per-recovery account, so N
-    // concurrent recoveries share one global in-flight window.
-    route.store = store;
-    route.account = std::make_shared<TransferAccount>(
-        config.tenant_id.empty() ? "recovery" : config.tenant_id);
-  } else {
-    owned_transfers = std::make_shared<TransferManager>(
-        store, MakeTransferOptions(config, config.recovery_prefetch), clock);
-    if (config.obs) {
-      owned_transfers->RegisterMetrics(&config.obs->registry, "recovery");
-    }
-  }
+  // GETs route to this tenant's (namespaced) store and bill a per-recovery
+  // account; in a fleet, N concurrent recoveries share one global
+  // in-flight window.
+  const TransferBinding transfers =
+      BindTransfers(config, store, clock, config.recovery_prefetch, "recovery");
   TailApplyContext ctx;
-  ctx.transfers =
-      config.runtime ? config.runtime->transfers().get() : owned_transfers.get();
-  ctx.route = route;
+  ctx.transfers = transfers.manager.get();
+  ctx.route = transfers.route;
   ctx.envelope = &envelope;
   ctx.target = target;
   // Fetch/apply spans need timestamps; without a clock recovery runs

@@ -4,7 +4,6 @@
 #include <map>
 #include <set>
 
-#include "common/codec/codec_pool.h"
 #include "ginja/failover.h"
 #include "ginja/fleet_runtime.h"
 #include "ginja/object_id.h"
@@ -42,30 +41,13 @@ StandbyReplica::StandbyReplica(ObjectStorePtr store, GinjaConfig config,
              ? config_.runtime->obs()
              : std::make_shared<Observability>(config_.trace);
   config_.obs = obs_;
-  if (config_.runtime && config_.runtime->codec_pool()) {
-    codec_pool_ = config_.runtime->codec_pool();
-    envelope_.SetCodecPool(codec_pool_);
-  } else if (config_.codec_threads > 1) {
-    codec_pool_ = std::make_shared<CodecPool>(config_.codec_threads);
-    envelope_.SetCodecPool(codec_pool_);
-  }
-  if (config_.runtime) {
-    // A fleet standby rides the shared worker pool: its GETs route to the
-    // tenant's namespaced stack and bill a per-standby account.
-    route_.store = store_;
-    route_.account = std::make_shared<TransferAccount>(
-        config_.tenant_id.empty() ? options_.component : config_.tenant_id);
-    transfers_ = config_.runtime->transfers().get();
-  } else {
-    owned_transfers_ = std::make_shared<TransferManager>(
-        store_, MakeTransferOptions(config_, config_.recovery_prefetch),
-        clock_);
-    owned_transfers_->RegisterMetrics(&obs_->registry, options_.component);
-    transfers_ = owned_transfers_.get();
-  }
+  envelope_.SetCodecPool(CodecPoolFor(config_));
+  // GETs route to the (tenant's namespaced) store and bill a per-standby
+  // account; a fleet standby rides the shared worker pool.
+  transfers_ = BindTransfers(config_, store_, clock_,
+                             config_.recovery_prefetch, options_.component);
 
-  MetricLabels labels;
-  if (!config_.tenant_id.empty()) labels = {{"tenant", config_.tenant_id}};
+  MetricLabels labels = TenantLabels(config_);
   obs_->registry.RegisterGauge(
       this, "ginja_standby_lag_objects", labels,
       [this] { return static_cast<double>(lag_objects()); });
@@ -125,8 +107,8 @@ void StandbyReplica::UpdateLag() {
 TailApplyContext StandbyReplica::MakeContext(
     const std::shared_ptr<MemFs>& target, std::size_t items) {
   TailApplyContext ctx;
-  ctx.transfers = transfers_;
-  ctx.route = route_;
+  ctx.transfers = transfers_.manager.get();
+  ctx.route = transfers_.route;
   ctx.envelope = &envelope_;
   ctx.target = target;
   ctx.clock = clock_;

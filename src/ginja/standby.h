@@ -50,6 +50,7 @@
 #include "common/stats.h"
 #include "fs/mem_fs.h"
 #include "ginja/config.h"
+#include "ginja/fleet_runtime.h"
 #include "ginja/tail_apply.h"
 
 namespace ginja {
@@ -73,7 +74,8 @@ struct StandbyOptions {
   // wrapped around the old primary's stack to reject its in-flight
   // mutations the instant promotion happens (S3 conditional writes).
   FenceTokenPtr fence;
-  // Component label for the owned TransferManager's metrics.
+  // Component label for a private TransferManager's metrics, and the
+  // transfer account's name outside a fleet.
   std::string component = "standby";
 };
 
@@ -171,10 +173,7 @@ class StandbyReplica {
   ObservabilityPtr obs_;
 
   Envelope envelope_;
-  std::shared_ptr<CodecPool> codec_pool_;
-  std::shared_ptr<TransferManager> owned_transfers_;
-  TransferManager* transfers_ = nullptr;  // owned, or the fleet's shared one
-  TransferRoute route_;
+  TransferBinding transfers_;  // private, or the fleet's shared manager
 
   mutable std::mutex mu_;  // guards image_ swap + report_
   std::shared_ptr<MemFs> image_;

@@ -1,9 +1,11 @@
 // TransferManager: bounded concurrency, retry/backoff on injected faults,
-// fan-out deletes, and cancellation.
+// fan-out deletes, and account-scoped cancellation (TransferAccount).
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <thread>
 
 #include "cloud/faulty_store.h"
@@ -170,16 +172,47 @@ TEST(TransferManagerTest, DeleteAllReportsPerName) {
   EXPECT_EQ(manager.stats().deletes.Get(), 8u);
 }
 
-TEST(TransferManagerTest, CancelAbortsQueuedAndFutureOps) {
+// Blocks every Put until Release(); counts the Puts that entered.
+class GatedStore : public MemoryStore {
+ public:
+  Status Put(std::string_view name, ByteView data) override {
+    {
+      std::unique_lock<std::mutex> lock(mu_);
+      ++entered_;
+      cv_.notify_all();
+      cv_.wait(lock, [&] { return released_; });
+    }
+    return MemoryStore::Put(name, data);
+  }
+  void WaitEntered(int n) {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [&] { return entered_ >= n; });
+  }
+  void Release() {
+    std::lock_guard<std::mutex> lock(mu_);
+    released_ = true;
+    cv_.notify_all();
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  int entered_ = 0;
+  bool released_ = false;
+};
+
+TEST(TransferAccountTest, CancelAbortsThatAccountsQueuedAndLaterOps) {
   auto memory = std::make_shared<MemoryStore>();
   ASSERT_TRUE(memory->Put("k", View(B("v"))).ok());
   auto tracking = std::make_shared<TrackingStore>(memory);
   TransferManager manager(tracking, FastOptions(/*concurrency=*/1));
+  auto account = std::make_shared<TransferAccount>("a");
+  const TransferRoute route{nullptr, account};
 
   std::vector<std::future<Result<Bytes>>> futures;
-  for (int i = 0; i < 4; ++i) futures.push_back(manager.GetAsync("k"));
-  manager.Cancel();
-  EXPECT_TRUE(manager.cancelled());
+  for (int i = 0; i < 4; ++i) futures.push_back(manager.GetAsync(route, "k"));
+  account->Cancel();
+  EXPECT_TRUE(account->cancelled());
 
   int aborted = 0;
   for (auto& f : futures) {
@@ -189,30 +222,108 @@ TEST(TransferManagerTest, CancelAbortsQueuedAndFutureOps) {
     }
   }
   EXPECT_GE(aborted, 2);  // at most the in-flight ops could still land
+  account->WaitIdle();    // futures resolve just before the account settles
+  EXPECT_EQ(account->ops_failed() + account->ops_completed(), 4u);
 
-  auto late = manager.GetAsync("k").get();
+  // Later submissions on the cancelled account fail without running.
+  const std::uint64_t gets_before = manager.stats().gets.Get();
+  auto late = manager.GetAsync(route, "k").get();
   ASSERT_FALSE(late.ok());
   EXPECT_EQ(late.status().code(), ErrorCode::kAborted);
+  EXPECT_EQ(manager.stats().gets.Get(), gets_before);
 }
 
-TEST(TransferManagerTest, CancelInterruptsBackoffSleep) {
+TEST(TransferAccountTest, CancelInterruptsThatAccountsBackoffSleep) {
   auto faulty =
       std::make_shared<FaultyStore>(std::make_shared<MemoryStore>());
   TransferOptions options = FastOptions(1);
   options.backoff_initial_us = 60'000'000;  // would sleep a minute
+  options.backoff_max_us = 60'000'000;
   options.max_attempts = 5;
   TransferManager manager(faulty, options);
+  auto account = std::make_shared<TransferAccount>("a");
 
   faulty->SetAvailable(false);
-  auto future = manager.PutAsync("k", B("v"));
+  auto future = manager.PutAsync({nullptr, account}, "k", B("v"));
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   const auto start = std::chrono::steady_clock::now();
-  manager.Cancel();
+  account->Cancel();
   Status st = future.get();
   const auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
       std::chrono::steady_clock::now() - start);
-  EXPECT_FALSE(st.ok());
+  EXPECT_EQ(st.code(), ErrorCode::kAborted);
   EXPECT_LT(elapsed.count(), 10'000);  // not the full backoff
+  account->WaitIdle();
+  EXPECT_EQ(account->ops_failed(), 1u);
+}
+
+// One account stuck in (then cancelled out of) a backoff sleep on its own
+// store route does not stop a second account on the same manager.
+TEST(TransferAccountTest, OtherAccountKeepsCompletingOps) {
+  auto memory = std::make_shared<MemoryStore>();
+  auto faulty = std::make_shared<FaultyStore>(std::make_shared<MemoryStore>());
+  faulty->SetAvailable(false);
+  TransferOptions options = FastOptions(/*concurrency=*/2);
+  options.backoff_initial_us = 60'000'000;
+  options.backoff_max_us = 60'000'000;
+  TransferManager manager(memory, options);
+  auto stuck = std::make_shared<TransferAccount>("stuck");
+  auto healthy = std::make_shared<TransferAccount>("healthy");
+
+  auto stuck_put = manager.PutAsync({faulty, stuck}, "s", B("x"));
+  for (int i = 0; i < 8; ++i) {
+    ASSERT_TRUE(
+        manager.PutAsync({nullptr, healthy}, "h" + std::to_string(i), B("yy"))
+            .get()
+            .ok());
+  }
+  EXPECT_EQ(stuck_put.wait_for(std::chrono::seconds(0)),
+            std::future_status::timeout);
+
+  stuck->Cancel();
+  EXPECT_EQ(stuck_put.get().code(), ErrorCode::kAborted);
+  EXPECT_FALSE(healthy->cancelled());
+  ASSERT_TRUE(manager.PutAsync({nullptr, healthy}, "h8", B("yy")).get().ok());
+  EXPECT_TRUE(manager.DeleteAll({nullptr, healthy}, {"h0", "h1"})[1].ok());
+  healthy->WaitIdle();
+  stuck->WaitIdle();
+
+  EXPECT_EQ(healthy->ops_completed(), 11u);
+  EXPECT_EQ(healthy->ops_failed(), 0u);
+  EXPECT_EQ(healthy->bytes_uploaded(), 18u);
+  EXPECT_EQ(stuck->ops_completed(), 0u);
+  EXPECT_EQ(stuck->ops_failed(), 1u);
+  EXPECT_TRUE(memory->Get("h8").ok());
+  EXPECT_FALSE(memory->Get("h0").ok());
+}
+
+TEST(TransferAccountTest, WaitIdleReturnsOnceInFlightOpsSettle) {
+  auto gated = std::make_shared<GatedStore>();
+  TransferManager manager(gated, FastOptions(/*concurrency=*/2));
+  auto account = std::make_shared<TransferAccount>("a");
+
+  std::vector<std::future<Status>> futures;
+  for (int i = 0; i < 3; ++i) {
+    futures.push_back(
+        manager.PutAsync({nullptr, account}, "k" + std::to_string(i), B("v")));
+  }
+  gated->WaitEntered(2);  // two executing, one queued
+
+  std::atomic<bool> idle{false};
+  std::thread waiter([&] {
+    account->WaitIdle();
+    idle.store(true);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(idle.load());
+  EXPECT_EQ(account->ops_completed(), 0u);
+
+  gated->Release();
+  waiter.join();
+  EXPECT_TRUE(idle.load());
+  // WaitIdle returned only after every op settled its account.
+  EXPECT_EQ(account->ops_completed(), 3u);
+  for (auto& f : futures) EXPECT_TRUE(f.get().ok());
 }
 
 }  // namespace

@@ -289,6 +289,60 @@ TEST(FleetScheduler, DeregisterDrainsQueueByDefault) {
 
 // -- TenantNamespace ----------------------------------------------------------
 
+// -- shared or private: the one decision point --------------------------------
+
+TEST(FleetBinding, StandaloneBindsPrivatePoolsPerComponent) {
+  auto store = std::make_shared<MemoryStore>();
+  GinjaConfig config;
+  config.obs = std::make_shared<Observability>();
+  config.codec_threads = 3;
+
+  const TransferBinding a = BindTransfers(config, store, nullptr, 3, "recovery");
+  const TransferBinding b = BindTransfers(config, store, nullptr, 5, "standby");
+  ASSERT_NE(a.manager, nullptr);
+  EXPECT_NE(a.manager, b.manager);  // one private manager per component
+  EXPECT_EQ(a.manager->options().concurrency, 3);
+  EXPECT_EQ(b.manager->options().concurrency, 5);
+  EXPECT_EQ(a.route.store, store);
+  ASSERT_NE(a.route.account, nullptr);
+  EXPECT_EQ(a.route.account->id(), "recovery");
+  const MetricsSnapshot snap = config.obs->registry.Snapshot();
+  EXPECT_NE(snap.Find("ginja_transfer_gets_total", {{"component", "recovery"}}),
+            nullptr);
+  EXPECT_NE(snap.Find("ginja_transfer_gets_total", {{"component", "standby"}}),
+            nullptr);
+
+  const auto pool = CodecPoolFor(config);
+  ASSERT_NE(pool, nullptr);
+  EXPECT_NE(pool, CodecPoolFor(config));
+  config.codec_threads = 1;
+  EXPECT_EQ(CodecPoolFor(config), nullptr);  // serial codec
+}
+
+TEST(FleetBinding, FleetMemberBindsTheRuntimesPoolsWithAFreshAccount) {
+  auto base = std::make_shared<MemoryStore>();
+  auto runtime = std::make_shared<FleetRuntime>(base, nullptr);
+  auto tenant_store = std::make_shared<TenantNamespace>(
+      base, TenantNamespace::Prefix("t1"));
+  GinjaConfig config;
+  config.runtime = runtime;
+  config.tenant_id = "t1";
+  config.codec_threads = 1;  // ignored: the runtime's pool wins
+
+  const TransferBinding a =
+      BindTransfers(config, tenant_store, nullptr, 3, "checkpoint");
+  const TransferBinding b =
+      BindTransfers(config, tenant_store, nullptr, 3, "recovery");
+  EXPECT_EQ(a.manager, runtime->transfers());
+  EXPECT_EQ(b.manager, runtime->transfers());
+  EXPECT_EQ(a.route.store, tenant_store);
+  ASSERT_NE(a.route.account, nullptr);
+  EXPECT_NE(a.route.account, b.route.account);
+  EXPECT_EQ(a.route.account->id(), "t1");
+  ASSERT_NE(runtime->codec_pool(), nullptr);
+  EXPECT_EQ(CodecPoolFor(config), runtime->codec_pool());
+}
+
 TEST(FleetNamespace, PrefixesKeysAndStripsListings) {
   auto base = std::make_shared<MemoryStore>();
   TenantNamespace ns(base, TenantNamespace::Prefix("alpha"));

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <thread>
 
 #include "cloud/faulty_store.h"
@@ -355,6 +356,43 @@ TEST(CheckpointPipeline, LargeDumpSplitsIntoParts) {
   const auto objects = fx.view->DbObjects();
   ASSERT_GE(objects.size(), 3u);
   EXPECT_EQ(objects[0].total_parts, objects.size());
+}
+
+// Kill() of a standalone pipeline must not wait out a part PUT's retry
+// backoff: cancelling the pipeline's transfer account interrupts the sleep.
+TEST(CheckpointPipeline, KillInterruptsPartPutBackoff) {
+  CheckpointFixture fx;
+  ASSERT_TRUE(fx.fs->Write("base/16384/t", 0, Bytes(10'000, 1), false).ok());
+  auto faulty = std::make_shared<FaultyStore>(fx.store);
+  faulty->SetAvailable(false);
+  GinjaConfig config;
+  config.retry_backoff_us = 60'000'000;  // one backoff would take a minute
+  config.retry_backoff_max_us = 60'000'000;
+  config.max_retries = 1'000'000;
+  auto pipeline = std::make_unique<CheckpointPipeline>(
+      faulty, fx.view, fx.clock, config, fx.envelope, fx.fs,
+      DbLayout::Postgres());
+  pipeline->Start();
+  // No DB object in the cloud yet: a dump, whose part PUT hits the outage.
+  pipeline->OnCheckpointBegin();
+  pipeline->OnCheckpointEnd(/*redo_lsn=*/0);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (faulty->injected_failures() == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_GE(faulty->injected_failures(), 1u);
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));  // in backoff
+
+  const auto start = std::chrono::steady_clock::now();
+  pipeline->Kill();
+  const auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
+      std::chrono::steady_clock::now() - start);
+  EXPECT_LT(elapsed.count(), 5'000);  // not the minute-long backoff
+  EXPECT_EQ(pipeline->stats().dumps_uploaded.Get(), 0u);
+  EXPECT_EQ(fx.store->ObjectCount(), 0u);
+  pipeline.reset();  // the destructor must not hang either
 }
 
 TEST(CheckpointPipeline, LocalDbSizeExcludesWal) {
