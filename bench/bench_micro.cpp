@@ -1,5 +1,5 @@
 // Microbenchmarks (google-benchmark): the hot primitives on Ginja's commit
-// path — LZSS, AES-128-CTR, HMAC-SHA1, the full envelope encode (with
+// path — CRC-32, LZSS, AES-128-CTR, HMAC-SHA1, the full envelope encode (with
 // latency percentiles), WAL appends, and page aggregation. Codec throughput
 // runs at 8 KiB / 256 KiB / 4 MiB; bytes_per_second and the p50/p95/p99
 // counters land in the JSON output (--benchmark_format=json).
@@ -8,23 +8,27 @@
 #include <algorithm>
 #include <chrono>
 #include <map>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "cloud/memory_store.h"
 #include "common/codec/aes128.h"
+#include "common/codec/crc32.h"
 #include "common/codec/envelope.h"
 #include "common/codec/hmac.h"
 #include "common/codec/lzss.h"
 #include "common/codec/sha1.h"
 #include "common/rng.h"
 #include "common/stats.h"
+#include "db/database.h"
 #include "db/wal.h"
 #include "fs/mem_fs.h"
 #include "ginja/coalesce.h"
 #include "ginja/commit_pipeline.h"
 #include "obs/obs.h"
+#include "workload/tpcc.h"
 
 namespace ginja {
 namespace {
@@ -56,6 +60,63 @@ BENCHMARK(BM_LzssCompress)
     ->Arg(65536)
     ->Arg(256 * 1024)
     ->Arg(4 * 1024 * 1024);
+
+// `pages` consecutive WAL pages written by the engine's WalWriter over MemFs
+// while TPC-C runs (after the initial load): the bytes a commit batch ships.
+// Real WAL compresses far worse than TpccLikePage's repeated rows.
+Bytes EngineWalPages(std::size_t pages) {
+  auto fs = std::make_shared<MemFs>();
+  const DbLayout layout = DbLayout::Postgres();
+  Database db(fs, layout);
+  TpccWorkload tpcc(&db, TpccConfig{});
+  if (!db.Create().ok() || !tpcc.Populate().ok()) return {};
+  const std::uint64_t first = db.WalEndLsn() / layout.WalPayloadSize() + 1;
+  SplitMix64 rng(7);
+  while (db.WalEndLsn() / layout.WalPayloadSize() < first + pages) {
+    (void)tpcc.Execute(tpcc.PickType(rng), rng);
+  }
+  Bytes wal;
+  for (std::uint64_t page = first; page < first + pages; ++page) {
+    const auto where = layout.LocateWalPage(page);
+    auto bytes = fs->Read(where.file, where.offset, layout.wal_page_size);
+    if (!bytes.ok()) return {};
+    Append(wal, View(*bytes));
+  }
+  return wal;
+}
+
+// One B=100 commit batch: 25 distinct 8 KiB pages once coalesced (~200 KB).
+void BM_LzssCompressWalBatch(benchmark::State& state) {
+  const Bytes wal = EngineWalPages(25);
+  if (wal.empty()) {
+    state.SkipWithError("could not capture engine WAL pages");
+    return;
+  }
+  Bytes out;
+  for (auto _ : state) {
+    out.clear();
+    Lzss::CompressAppend(View(wal), out);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(wal.size()));
+  state.counters["ratio"] =
+      static_cast<double>(wal.size()) / static_cast<double>(out.size());
+}
+BENCHMARK(BM_LzssCompressWalBatch);
+
+void BM_Crc32(benchmark::State& state) {
+  const Bytes data = TpccLikePage(static_cast<std::size_t>(state.range(0)), 4);
+  std::uint32_t crc = 0;
+  for (auto _ : state) {
+    crc = Crc32(View(data), crc);
+    benchmark::DoNotOptimize(crc);
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK(BM_Crc32)->Arg(8192)->Arg(256 * 1024);
 
 void BM_LzssDecompress(benchmark::State& state) {
   const Bytes page = TpccLikePage(static_cast<std::size_t>(state.range(0)), 1);

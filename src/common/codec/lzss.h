@@ -5,6 +5,14 @@
 // (literal | back-reference) tokens with varint lengths. On WAL pages full
 // of TPC-C rows it achieves roughly the paper's compression rate (~1.4×).
 //
+// Match finder: a 4-byte hash indexes a head table of ceil(log2 n) + 1 bits
+// (at most 2^18 slots), so small inputs clear a small table and large ones
+// see few false collisions; chain links live in a kWindow-sized ring. Each
+// position walks at most 16 chain candidates, dropping most with a 4-byte
+// and a one-byte compare, and every position (inside matches too) is
+// inserted. Tokens are written straight into the caller's buffer through a
+// raw cursor that has room for a whole flag group reserved ahead.
+//
 // Format: [varint original_size] then a token stream. Each control byte
 // holds 8 flags (LSB first); flag=0 → literal byte, flag=1 → match:
 // varint distance (>=1), varint length (>= kMinMatch).

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <thread>
+#include <vector>
+
 #include "common/codec/aes128.h"
 #include "common/codec/crc32.h"
 #include "common/codec/envelope.h"
@@ -7,6 +11,9 @@
 #include "common/codec/lzss.h"
 #include "common/codec/sha1.h"
 #include "common/rng.h"
+#include "db/database.h"
+#include "fs/mem_fs.h"
+#include "workload/tpcc.h"
 
 namespace ginja {
 namespace {
@@ -100,6 +107,68 @@ TEST(Crc32, DetectsSingleBitFlip) {
   EXPECT_NE(before, Crc32(View(data)));
 }
 
+// One bit at a time, straight from the definition: the oracle every kernel
+// (table, slicing, carry-less folding) must agree with.
+std::uint32_t BitwiseCrc32(ByteView data, std::uint32_t seed = 0) {
+  std::uint32_t c = ~seed;
+  for (std::uint8_t b : data) {
+    c ^= b;
+    for (int k = 0; k < 8; ++k) {
+      c = (c & 1) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
+    }
+  }
+  return ~c;
+}
+
+Bytes RandomBytes(std::size_t n, std::uint64_t seed) {
+  SplitMix64 rng(seed);
+  Bytes data(n);
+  for (auto& b : data) b = static_cast<std::uint8_t>(rng.Next());
+  return data;
+}
+
+// Lengths around every kernel boundary: the 8-byte slicing step, the
+// 16-byte fold block, the 64-byte folding minimum, a data page minus its
+// checksum field (8188), a whole page, and a long run.
+std::vector<std::size_t> CrcLengths() {
+  std::vector<std::size_t> lengths;
+  for (std::size_t n = 0; n <= 300; ++n) lengths.push_back(n);
+  for (std::size_t n : {8188u, 8192u, 1u << 20}) lengths.push_back(n);
+  return lengths;
+}
+
+TEST(Crc32, MatchesBitwiseReferenceAtEveryLengthAndOffset) {
+  const Bytes data = RandomBytes((1u << 20) + 16, 41);
+  for (std::size_t n : CrcLengths()) {
+    for (std::size_t offset = 0; offset < 16; ++offset) {
+      const ByteView view(data.data() + offset, n);
+      ASSERT_EQ(Crc32(view), BitwiseCrc32(view)) << n << " @" << offset;
+    }
+  }
+}
+
+TEST(Crc32, SeedChainsAcrossSplits) {
+  const Bytes data = RandomBytes(300, 42);
+  const std::uint32_t whole = Crc32(View(data));
+  for (std::size_t split : {1u, 7u, 8u, 15u, 16u, 17u, 63u, 64u, 65u, 79u,
+                            80u, 127u, 128u, 129u, 200u, 236u, 299u}) {
+    const ByteView a(data.data(), split);
+    const ByteView b(data.data() + split, data.size() - split);
+    EXPECT_EQ(Crc32(b, Crc32(a)), whole) << split;
+  }
+}
+
+TEST(Crc32, PortableKernelMatchesDispatched) {
+  const Bytes data = RandomBytes((1u << 20) + 16, 43);
+  for (std::size_t n : CrcLengths()) {
+    for (std::uint32_t seed : {0u, 0xDEADBEEFu}) {
+      const ByteView view(data.data() + n % 16, n);
+      ASSERT_EQ(Crc32Portable(view, seed), Crc32(view, seed))
+          << n << " seed " << seed;
+    }
+  }
+}
+
 // -- AES-128: FIPS-197 Appendix C vector --------------------------------------
 
 TEST(Aes128, Fips197Vector) {
@@ -186,6 +255,81 @@ TEST(Lzss, AchievesPaperLikeRatioOnWalPages) {
   const double ratio = static_cast<double>(page.size()) /
                        static_cast<double>(compressed.size());
   EXPECT_GT(ratio, 1.43);
+}
+
+// `pages` WAL pages as the engine writes them: TPC-C transactions through a
+// PostgreSQL-personality Database over MemFs, taken after the initial load
+// so they hold the steady-state mix rather than bulk inserts.
+Bytes EngineWalPages(std::size_t pages) {
+  auto fs = std::make_shared<MemFs>();
+  const DbLayout layout = DbLayout::Postgres();
+  Database db(fs, layout);
+  EXPECT_TRUE(db.Create().ok());
+  TpccWorkload tpcc(&db, TpccConfig{});
+  EXPECT_TRUE(tpcc.Populate().ok());
+  const std::uint64_t first = db.WalEndLsn() / layout.WalPayloadSize() + 1;
+  SplitMix64 rng(7);
+  while (db.WalEndLsn() / layout.WalPayloadSize() < first + pages) {
+    (void)tpcc.Execute(tpcc.PickType(rng), rng);
+  }
+  Bytes wal;
+  for (std::uint64_t page = first; page < first + pages; ++page) {
+    const auto where = layout.LocateWalPage(page);
+    auto bytes = fs->Read(where.file, where.offset, layout.wal_page_size);
+    EXPECT_TRUE(bytes.ok());
+    if (bytes.ok()) Append(wal, View(*bytes));
+  }
+  return wal;
+}
+
+// Compression ratio of EngineWalPages(25) under the earlier match finder
+// (fixed 2^15-slot head table): 85342 bytes out of 204800, 2.39976.
+constexpr double kEngineWalBatchRatioFloor = 2.3997;
+
+TEST(Lzss, EngineWalBatchRatioHoldsItsPinnedFloor) {
+  // 25 pages is one B=100 commit batch once coalesced (~204 KB). A match
+  // finder change that costs ratio costs upload bytes, so the ratio must
+  // not drop below the floor.
+  const Bytes wal = EngineWalPages(25);
+  ASSERT_EQ(wal.size(), 25u * 8192u);
+  const Bytes compressed = Lzss::Compress(View(wal));
+  const double ratio = static_cast<double>(wal.size()) /
+                       static_cast<double>(compressed.size());
+  EXPECT_GE(ratio, kEngineWalBatchRatioFloor);
+  auto back = Lzss::Decompress(View(compressed));
+  ASSERT_TRUE(back.has_value());
+  EXPECT_EQ(*back, wal);
+}
+
+TEST(Lzss, DeterministicAcrossCallsThreadsAndTableSizes) {
+  // Sizes straddle the input-sized head table (4 bytes is the first that
+  // can hold a match, 4 MiB is far past the 2^18-slot cap), visited large ->
+  // small -> large so every call reuses thread-local tables last sized for
+  // a different input. Each output must equal a fresh thread's, whose
+  // tables start empty, and must round-trip.
+  const Bytes wal = EngineWalPages(25);
+  auto input_of = [&](std::size_t n) {
+    Bytes data;
+    while (data.size() < n) Append(data, View(wal));
+    data.resize(n);
+    return data;
+  };
+  const std::vector<std::size_t> sizes = {4u << 20, 0,          1,
+                                          3,        4,          4096,
+                                          204u << 10, 4u << 20, 4096};
+  std::vector<Bytes> inputs, here, fresh(sizes.size());
+  for (std::size_t n : sizes) inputs.push_back(input_of(n));
+  for (const Bytes& in : inputs) here.push_back(Lzss::Compress(View(in)));
+  for (std::size_t i = 0; i < sizes.size(); ++i) {
+    std::thread([&] { fresh[i] = Lzss::Compress(View(inputs[i])); }).join();
+  }
+  for (std::size_t i = 0; i < sizes.size(); ++i) {
+    EXPECT_EQ(here[i], fresh[i]) << sizes[i];
+    EXPECT_EQ(Lzss::Compress(View(inputs[i])), here[i]) << sizes[i];
+    auto back = Lzss::Decompress(View(here[i]));
+    ASSERT_TRUE(back.has_value()) << sizes[i];
+    EXPECT_EQ(*back, inputs[i]) << sizes[i];
+  }
 }
 
 TEST(Lzss, RejectsTruncatedStream) {

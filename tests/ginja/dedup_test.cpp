@@ -856,12 +856,18 @@ TEST(DedupGc, ConcurrentCommitsAndDumpsLeakNoChunks) {
   });
 
   const auto& stats = h.ginja->checkpoint_stats();
-  std::optional<std::uint64_t> pin;
+  std::uint64_t pin = 0;
+  bool pinned = false;
   for (int round = 0; round < 40 && stats.dumps_uploaded.Get() < 4; ++round) {
-    if (round == 10) pin = h.ginja->ProtectCurrentState();
-    if (round == 25 && pin) {
-      h.ginja->retention().Release(*pin);
-      pin.reset();
+    if (round == 10) {
+      if (const auto id = h.ginja->ProtectCurrentState()) {
+        pin = *id;
+        pinned = true;
+      }
+    }
+    if (round == 25 && pinned) {
+      h.ginja->retention().Release(pin);
+      pinned = false;
     }
     ASSERT_TRUE(h.db->Checkpoint().ok());
     h.ginja->Drain();
